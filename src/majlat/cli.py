@@ -39,7 +39,6 @@ from .protocols import (
     plan_to_dict,
     plan_to_dot,
     plan_vidal,
-    validate_plan,
 )
 from .sampling import random_incomparable_pairs, random_prob_vecs
 from .schmidt import ProbVec, canonicalize, compare
@@ -98,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = vector_command("plan", "build a conversion plan")
     sp.add_argument("--collection", help="collection name from the instance file")
     sp.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-    protocols = sorted(PLAN_BUILDERS) + ["multi-target", "multi-source"]
-    sp.add_argument("--protocol", dest="protocol_opt", choices=protocols,
-                    help=argparse.SUPPRESS)
 
     sp = sub.add_parser("sweep", parents=[parent],
                         help="check properties on random instances")
@@ -217,19 +213,12 @@ def _cmd_ladder(args):
 
 
 def _cmd_plan(args):
-    if not args.vectors and not (args.pair or args.collection):
-        raise ValueError("plan needs PROTOCOL plus vectors (or --pair / --collection)")
-    if args.protocol_opt:
-        protocol = args.protocol_opt
-        vectors_args = args.vectors
-    else:
-        if not args.vectors:
-            raise ValueError("missing protocol (vidal|greedy|thrifty|multi-target|multi-source)")
-        protocol, vectors_args = args.vectors[0], args.vectors[1:]
+    if not args.vectors:
+        raise ValueError("plan needs a protocol, then vectors or --pair / --collection")
+    protocol, *args.vectors = args.vectors
     known = sorted(PLAN_BUILDERS) + ["multi-target", "multi-source"]
     if protocol not in known:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {known}")
-    args.vectors = vectors_args
 
     if protocol in PLAN_BUILDERS:
         source, target = _resolve_inputs(args)
@@ -257,15 +246,13 @@ def _cmd_sweep(args):
 def _cmd_simulate(args):
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = plan_from_dict(json.load(fh))
-        validate_plan(plan)
+            plan = plan_from_dict(json.load(fh))  # run_plan validates it
     else:
-        if not args.plan_args and not args.pair:
+        if not args.plan_args:
             raise ValueError("simulate needs PROTOCOL SOURCE TARGET or --plan FILE")
-        protocol, vector_names = args.plan_args[0], args.plan_args[1:]
+        protocol, *args.vectors = args.plan_args
         if protocol not in PLAN_BUILDERS:
             raise ValueError(f"unknown protocol {protocol!r}; choose from {sorted(PLAN_BUILDERS)}")
-        args.vectors = vector_names
         source, target = _resolve_inputs(args)
         plan = PLAN_BUILDERS[protocol](source, target)
     seed = getattr(args, "seed", None)

@@ -2,10 +2,10 @@
 
 The d monotones of a spectrum are its suffix sums.  The best single-copy
 conversion probability from a source to a target spectrum is the minimum
-ratio of their monotones; iterating the minimization on the leading segment
-produces the ladder of ratios r_1 < ... < r_k with block boundaries
-l_1 > ... > l_k = 1, from which the deterministically reachable intermediate
-state is assembled block by block.
+ratio of their monotones.  The lower convex hull of the monotone curve
+(E_target(l), E_source(l)) from there on gives the ladder of ratios
+r_1 < ... < r_k with block boundaries l_1 > ... > l_k = 1, from which the
+deterministically reachable intermediate state is assembled block by block.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import get_epsilon
 from .errors import RankDeficit
+from .lattice import _lower_hull, _suffix_sums
 from .schmidt import ProbVec, effective_rank, pad_pair
 
 
@@ -57,12 +58,8 @@ class RatioLadder:
         return self.dim + 1
 
 
-def _suffix_sums(entries: np.ndarray) -> np.ndarray:
-    return np.cumsum(entries[::-1])[::-1]
-
-
 def monotones(p: ProbVec) -> MonotoneProfile:
-    return MonotoneProfile(tuple(float(x) for x in _suffix_sums(p.as_array())))
+    return MonotoneProfile(tuple(_suffix_sums(p.as_array())[:-1].tolist()))
 
 
 def _check_ranks(source: ProbVec, target: ProbVec) -> None:
@@ -97,29 +94,23 @@ def p_max(source: ProbVec, target: ProbVec) -> float:
 
 
 def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
-    """Full ratio ladder of the optimal source -> target conversion."""
+    """Full ratio ladder of the optimal source -> target conversion.
+
+    Rungs after the first are the edges of the lower convex hull of the
+    points (E_target(l), E_source(l)), l = l_1..1; their slopes are the ratios.
+    """
     _check_ranks(source, target)
     s, t = pad_pair(source, target)
-    d = s.size
     es, et = _suffix_sums(s), _suffix_sums(t)
     r1, l1 = _min_ratio(es, et, get_epsilon())
-    ratios = [r1]
-    indices = [l1]
-    while indices[-1] != 1:
-        lp = indices[-1]
-        numer = es[: lp - 1] - es[lp - 1]
-        denom = et[: lp - 1] - et[lp - 1]
-        # positive for canonical targets: entries up to lp-1 are non-zero
-        assert np.all(denom > 0), "non-canonical target in ratio ladder"
-        block_ratios = numer / denom
-        j = int(np.argmin(block_ratios))  # first minimum = smallest index
-        ratios.append(float(block_ratios[j]))
-        indices.append(j + 1)
+    es, et = es.tolist(), et.tolist()
+    blocks = [l1 - 1 - v for v in _lower_hull(et[l1 - 1 :: -1], es[l1 - 1 :: -1])]
+    ratios = [r1] + [(es[b] - es[a]) / (et[b] - et[a]) for a, b in zip(blocks, blocks[1:])]
     return RatioLadder(
-        source=ProbVec(tuple(float(x) for x in s)),
-        target=ProbVec(tuple(float(x) for x in t)),
+        source=ProbVec(tuple(s.tolist())),
+        target=ProbVec(tuple(t.tolist())),
         ratios=tuple(ratios),
-        indices=tuple(indices),
+        indices=tuple(b + 1 for b in blocks),
     )
 
 
@@ -133,6 +124,12 @@ def r_vector(ladder: RatioLadder) -> tuple[float, ...]:
     return tuple(float(x) for x in rv)
 
 
+def _intermediate(ladder: RatioLadder) -> tuple[np.ndarray, ProbVec]:
+    """The ladder's block ratio vector and the intermediate state r * target."""
+    rv = np.asarray(r_vector(ladder))
+    return rv, ProbVec(tuple(float(x) for x in rv * ladder.target.as_array()))
+
+
 def intermediate_state(source: ProbVec, target: ProbVec) -> ProbVec:
     """Most target-like spectrum deterministically reachable from the source.
 
@@ -140,7 +137,4 @@ def intermediate_state(source: ProbVec, target: ProbVec) -> ProbVec:
     the target spectrum; it majorizes the target and is majorized by the
     source.
     """
-    ladder = ratio_ladder(source, target)
-    rv = np.asarray(r_vector(ladder))
-    chi = rv * ladder.target.as_array()
-    return ProbVec(tuple(float(x) for x in chi))
+    return _intermediate(ratio_ladder(source, target))[1]

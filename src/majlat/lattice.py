@@ -26,27 +26,36 @@ def cumulative_sums(p: ProbVec) -> tuple[float, ...]:
     return (0.0,) + tuple(float(x) for x in np.cumsum(p.as_array()))
 
 
+def _lower_hull(x, y) -> list[int]:
+    """Vertex indices of the lower convex hull of points (x[i], y[i]), x increasing.
+
+    Andrew's monotone chain; of collinear points only the two ends stay.  Pass
+    lists (``ndarray.tolist()``): numpy scalars make the loop several times slower.
+    """
+    hull = [0]
+    for k in range(1, len(x)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (y[j] - y[i]) * (x[k] - x[j]) >= (y[k] - y[j]) * (x[j] - x[i]):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    return hull
+
+
 def least_concave_majorant(values) -> np.ndarray:
     """Upper concave envelope of points (k, values[k]) at the same abscissae.
 
-    Single monotone-chain pass building the upper convex hull; collinear
-    points are merged.  Returns the envelope ordinates, which coincide with
-    the input at hull vertices and interpolate linearly in between.
+    Its vertices are the lower hull of the negated points, with collinear
+    points merged.  Returns the envelope ordinates, which coincide with the
+    input at hull vertices and interpolate linearly in between.
     """
     t = np.asarray(values, dtype=float)
     n = t.size
     if n <= 2:
         return t.copy()
-    hull: list[int] = [0]
-    for k in range(1, n):
-        # pop while the previous vertex is under (or on) the chord hull[-2] -> k
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (t[j] - t[i]) * (k - j) <= (t[k] - t[j]) * (j - i):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
+    hull = _lower_hull(range(n), (-t).tolist())
     env = np.empty(n)
     for a, b in zip(hull[:-1], hull[1:]):
         env[a] = t[a]
@@ -57,8 +66,8 @@ def least_concave_majorant(values) -> np.ndarray:
     return env
 
 
-def _suffix_profile(entries: np.ndarray) -> np.ndarray:
-    """Suffix sums S[k] = sum of entries[k:], with S[d] = 0."""
+def _suffix_sums(entries: np.ndarray) -> np.ndarray:
+    """Suffix sums S[k] = sum of entries[k:] for k = 0..d, with S[d] = 0."""
     s = np.zeros(entries.size + 1)
     s[:-1] = np.cumsum(entries[::-1])[::-1]
     return s
@@ -71,14 +80,14 @@ def _pack(entries: np.ndarray) -> ProbVec:
 def meet(p: ProbVec, q: ProbVec) -> ProbVec:
     """Greatest lower bound: the most ordered vector majorized by both inputs."""
     a, b = pad_pair(p, q)
-    upper = np.maximum(_suffix_profile(a), _suffix_profile(b))
+    upper = np.maximum(_suffix_sums(a), _suffix_sums(b))
     return _pack(upper[:-1] - upper[1:])
 
 
 def join(p: ProbVec, q: ProbVec) -> ProbVec:
     """Least upper bound: the most disordered vector that majorizes both inputs."""
     a, b = pad_pair(p, q)
-    lower = np.minimum(_suffix_profile(a), _suffix_profile(b))
+    lower = np.minimum(_suffix_sums(a), _suffix_sums(b))
     # greatest convex minorant, via the concave majorant of the negation
     env = -least_concave_majorant(-lower)
     return _pack(env[:-1] - env[1:])

@@ -12,6 +12,7 @@ steps are sampled from exact branch probabilities.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,11 @@ class OutcomeStats:
             "seed": self.seed,
             "rng_algorithm": self.rng_algorithm,
         }
+
+
+def _reported_seed(seed) -> int | None:
+    """A seed as a report shows it: integers (numpy ones too) as int, else None."""
+    return int(seed) if isinstance(seed, numbers.Integral) else None
 
 
 def embed(p: ProbVec) -> BipartiteState:
@@ -176,5 +182,5 @@ def run_plan(plan: ConversionPlan, shots: int, seed=None) -> OutcomeStats:
         successes=successes,
         empirical_rate=successes / shots,
         residual_mean=residual_mean,
-        seed=seed if isinstance(seed, int) else None,
+        seed=_reported_seed(seed),
     )

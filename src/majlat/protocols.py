@@ -20,9 +20,9 @@ import numpy as np
 
 from .config import get_epsilon
 from .errors import DegenerateBranch, RankDeficit
-from .lattice import join, join_many, meet, meet_many
-from .ladder import RatioLadder, _check_ranks, _suffix_sums, r_vector, ratio_ladder
-from .schmidt import MajOrder, ProbVec, compare, effective_rank
+from .lattice import _suffix_sums, join, join_many, meet, meet_many
+from .ladder import RatioLadder, _check_ranks, _intermediate, r_vector, ratio_ladder
+from .schmidt import MajOrder, ProbVec, compare, effective_rank, pad_pair
 
 
 @dataclass(frozen=True)
@@ -87,22 +87,26 @@ class TwoOutcomeResult:
     """Outcome of a diagonal two-outcome measurement on a spectrum.
 
     Branch states are None when the branch has (near-)zero probability; use
-    the ``require_*`` accessors to get a hard error instead.
+    ``require_failure`` to get a hard error instead.
     """
 
     success_prob: float
     success_state: ProbVec | None
     failure_state: ProbVec | None
 
-    def require_success(self) -> ProbVec:
-        if self.success_state is None:
-            raise DegenerateBranch("success branch has probability ~0")
-        return self.success_state
-
     def require_failure(self) -> ProbVec:
         if self.failure_state is None:
             raise DegenerateBranch("failure branch has probability ~0")
         return self.failure_state
+
+
+def _kraus(r1: float, rv: np.ndarray) -> KrausDiagonals:
+    m_sq = r1 / rv
+    n_sq = np.clip(1.0 - m_sq, 0.0, None)
+    return KrausDiagonals(
+        m_diag=tuple(float(x) for x in np.sqrt(m_sq)),
+        n_diag=tuple(float(x) for x in np.sqrt(n_sq)),
+    )
 
 
 def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
@@ -112,13 +116,7 @@ def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
     exactly 1 on the first block; the failure operator fills up to
     completeness and therefore vanishes there.
     """
-    rv = np.asarray(r_vector(ladder))
-    m_sq = ladder.ratios[0] / rv
-    n_sq = np.clip(1.0 - m_sq, 0.0, None)
-    return KrausDiagonals(
-        m_diag=tuple(float(x) for x in np.sqrt(m_sq)),
-        n_diag=tuple(float(x) for x in np.sqrt(n_sq)),
-    )
+    return _kraus(ladder.ratios[0], np.asarray(r_vector(ladder)))
 
 
 def apply_two_outcome(state: ProbVec, kraus: KrausDiagonals) -> TwoOutcomeResult:
@@ -126,38 +124,32 @@ def apply_two_outcome(state: ProbVec, kraus: KrausDiagonals) -> TwoOutcomeResult
     lam = state.as_array()
     if lam.size != kraus.dim:
         raise ValueError(f"state dimension {lam.size} != Kraus dimension {kraus.dim}")
-    eps = get_epsilon()
     m_sq = np.asarray(kraus.m_diag) ** 2
-    n_sq = np.asarray(kraus.n_diag) ** 2
     p = float(m_sq @ lam)
-    success = failure = None
-    if p > eps:
-        out = np.sort(m_sq * lam / p)[::-1]
-        success = ProbVec(tuple(float(x) for x in out))
-    if 1.0 - p > eps:
-        out = np.sort(n_sq * lam / (1.0 - p))[::-1]
-        failure = ProbVec(tuple(float(x) for x in out))
-    return TwoOutcomeResult(success_prob=p, success_state=success, failure_state=failure)
+
+    def branch(op_sq: np.ndarray, prob: float) -> ProbVec | None:
+        if prob <= get_epsilon():
+            return None
+        return ProbVec(tuple(np.sort(op_sq * lam / prob)[::-1].tolist()))
+
+    return TwoOutcomeResult(success_prob=p, success_state=branch(m_sq, p),
+                            failure_state=branch(np.asarray(kraus.n_diag) ** 2, 1.0 - p))
 
 
-def _deterministic_plan(source: ProbVec, target: ProbVec, ladder: RatioLadder,
-                        source_name: str, target_name: str) -> ConversionPlan:
-    step = PlanStep(StepKind.DETERMINISTIC, source_name, source, target_name, target)
-    return ConversionPlan("vidal", (step,), 1.0, residual=None, ladder=ladder)
+def _vidal(source: ProbVec, target: ProbVec, order: MajOrder,
+           source_name: str = "source", target_name: str = "target") -> ConversionPlan:
+    """The conversion analysis all planners share: the Vidal plan of a pair of known order.
 
-
-def plan_vidal(source: ProbVec, target: ProbVec, *,
-               source_name: str = "source", target_name: str = "target") -> ConversionPlan:
-    """Optimal two-step plan: deterministic move to the intermediate state,
-    then a two-outcome measurement that yields the target on success."""
-    _check_ranks(source, target)
+    Rank check and padding (in ``ratio_ladder``), ladder, intermediate state,
+    Kraus diagonals and measurement outcome are each computed once.
+    """
     ladder = ratio_ladder(source, target)
     src, tgt = ladder.source, ladder.target  # padded to common dimension
-    if compare(src, tgt) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
-        return _deterministic_plan(src, tgt, ladder, source_name, target_name)
-    rv = np.asarray(r_vector(ladder))
-    chi = ProbVec(tuple(float(x) for x in rv * tgt.as_array()))
-    kraus = kraus_diagonals(ladder)
+    if order in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
+        step = PlanStep(StepKind.DETERMINISTIC, source_name, src, target_name, tgt)
+        return ConversionPlan("vidal", (step,), 1.0, residual=None, ladder=ladder)
+    rv, chi = _intermediate(ladder)
+    kraus = _kraus(ladder.ratios[0], rv)
     outcome = apply_two_outcome(chi, kraus)
     residual = outcome.require_failure()
     steps = (
@@ -171,19 +163,25 @@ def plan_vidal(source: ProbVec, target: ProbVec, *,
     return ConversionPlan("vidal", steps, outcome.success_prob, residual=residual, ladder=ladder)
 
 
+def plan_vidal(source: ProbVec, target: ProbVec, *,
+               source_name: str = "source", target_name: str = "target") -> ConversionPlan:
+    """Optimal two-step plan: deterministic move to the intermediate state,
+    then a two-outcome measurement that yields the target on success."""
+    return _vidal(source, target, compare(source, target), source_name, target_name)
+
+
 def plan_greedy(source: ProbVec, target: ProbVec) -> ConversionPlan:
     """Deterministic phase first: climb to the common product, then measure.
 
     For comparable inputs the detour is pointless and the plan degrades to
     the plain Vidal plan (tagged as such).
     """
-    _check_ranks(source, target)
-    if compare(source, target) != MajOrder.INCOMPARABLE:
-        return plan_vidal(source, target)
-    base = plan_vidal(source, target)
+    order = compare(source, target)
+    base = _vidal(source, target, order)
+    if order is not MajOrder.INCOMPARABLE:
+        return base
     ocp = join(source, target)
-    src = base.steps[0].from_state
-    chi = base.steps[0].to_state
+    src, chi = base.steps[0].from_state, base.steps[0].to_state
     steps = (
         PlanStep(StepKind.DETERMINISTIC, "source", src, "common_product", ocp),
         PlanStep(StepKind.DETERMINISTIC, "common_product", ocp, "intermediate", chi),
@@ -198,14 +196,14 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
     convert deterministically.  Same success probability as the greedy plan,
     but the failure residual is more entangled (majorized by the greedy one)."""
     _check_ranks(source, target)
-    if compare(source, target) != MajOrder.INCOMPARABLE:
-        return plan_vidal(source, target)
-    ocr = meet(source, target)
-    core = plan_vidal(source, ocr, target_name="common_resource")
-    tgt = ocr.padded(core.steps[-1].to_state.dim)
+    order = compare(source, target)
+    if order is not MajOrder.INCOMPARABLE:
+        return _vidal(source, target, order)
+    core = plan_vidal(source, meet(source, target), target_name="common_resource")
+    ocr = core.steps[-1].to_state
     steps = core.steps + (
-        PlanStep(StepKind.DETERMINISTIC, "common_resource", tgt,
-                 "target", target.padded(tgt.dim)),
+        PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr,
+                 "target", target.padded(ocr.dim)),
     )
     return ConversionPlan("thrifty", steps, core.success_prob,
                           residual=core.residual, ladder=core.ladder)
@@ -277,16 +275,22 @@ def step_monotone_slack(step: PlanStep) -> float:
     suffix-sum monotones cannot increase on average.
     """
     d = max([step.from_state.dim] + [out.dim for _, out in step_outcomes(step)])
-    e_in = _suffix_sums(step.from_state.padded(d).as_array())
-    e_avg = np.zeros(d)
-    for prob, out in step_outcomes(step):
-        e_avg += prob * _suffix_sums(out.padded(d).as_array())
-    return float(np.min(e_in - e_avg))
+
+    def suffix(state: ProbVec) -> np.ndarray:
+        return _suffix_sums(state.padded(d).as_array())[:-1]
+
+    e_avg = sum(prob * suffix(out) for prob, out in step_outcomes(step))
+    return float(np.min(suffix(step.from_state) - e_avg))
 
 
 def validate_plan(plan: ConversionPlan) -> None:
     """Check the structural invariants of a plan; raise ValueError on violation."""
     eps = get_epsilon()
+    if not plan.steps:
+        raise ValueError("plan has no steps")
+    for step, after in zip(plan.steps, plan.steps[1:]):
+        if np.max(np.abs(np.subtract(*pad_pair(step.to_state, after.from_state)))) > eps:
+            raise ValueError(f"step to {step.to_name} does not lead to step from {after.from_name}")
     prob_product = 1.0
     for step in plan.steps:
         for state in (step.from_state, step.to_state):
@@ -386,6 +390,8 @@ def plan_to_dict(plan: ConversionPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> ConversionPlan:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a plan document is a JSON object, not {type(doc).__name__}")
     residual = doc.get("residual")
     ladder = doc.get("ladder")
     return ConversionPlan(

@@ -55,13 +55,16 @@ def canonicalize(raw, dim: int | None = None) -> ProbVec:
     """Build a canonical ProbVec from raw entries.
 
     Sorts descending, clamps entries in [-eps, 0) to zero and optionally pads
-    with trailing zeros up to ``dim``.  Raises ``NegativeEntry`` for entries
-    below -eps and ``NotNormalized`` when the total is off by more than eps.
+    with trailing zeros up to ``dim``.  Raises ``ValueError`` for NaN or
+    infinite entries, ``NegativeEntry`` for entries below -eps and
+    ``NotNormalized`` when the total is off by more than eps.
     """
     eps = get_epsilon()
     arr = np.asarray(list(raw), dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d sequence of probabilities")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probabilities must be finite numbers")
     if np.any(arr < -eps):
         raise NegativeEntry(f"entry {arr.min():.3g} below -epsilon")
     total = float(arr.sum())
@@ -86,10 +89,6 @@ def effective_rank(p: ProbVec) -> int:
     """Number of entries above the tolerance (non-vanishing Schmidt coefficients)."""
     eps = get_epsilon()
     return int(np.count_nonzero(p.as_array() > eps))
-
-
-def common_dimension(*vs: ProbVec) -> int:
-    return max(v.dim for v in vs)
 
 
 def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:

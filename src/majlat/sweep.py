@@ -16,10 +16,9 @@ import numpy as np
 from .config import get_epsilon
 from .lattice import join, join_many, meet, meet_many
 from .ladder import monotones, p_max, ratio_ladder
-from .oracle import BipartiteState, branch_probabilities, embed, schmidt_spectrum
+from .oracle import BipartiteState, _reported_seed, branch_probabilities, embed, schmidt_spectrum
 from .protocols import (
     apply_two_outcome,
-    kraus_diagonals,
     plan_greedy,
     plan_thrifty,
     plan_vidal,
@@ -254,9 +253,8 @@ def _check_monotone_soundness(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float,
 
 
 def _check_oracle_match(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
-    ladder = ratio_ladder(p, q)
-    kraus = kraus_diagonals(ladder)
-    chi = plan_vidal(p, q).steps[0].to_state
+    measurement = plan_vidal(p, q).steps[1]
+    chi, kraus = measurement.from_state, measurement.kraus
     analytic = apply_two_outcome(chi, kraus)
     state = embed(chi)
     p_m, p_n = branch_probabilities(state, kraus)
@@ -333,7 +331,7 @@ def run_sweep(dim: int, count: int, seed=None, properties=None) -> SweepReport:
     return SweepReport(
         dim=dim,
         count=count,
-        seed=seed if isinstance(seed, int) else None,
+        seed=_reported_seed(seed),
         epsilon=get_epsilon(),
         distribution=DISTRIBUTION,
         properties=[outcomes[name] for name in names],

@@ -235,3 +235,40 @@ def test_global_epsilon_flag():
     code, out, _ = run_cli("compare", "[0.3,0.3,0.3]", "[0.4,0.3,0.3]",
                            "--epsilon", "0.2")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "[NaN,1]", "[1,0]"),
+    ("compare", "[Infinity,0]", PHI),
+    ("pmax", PSI, "[NaN,0.2,0.2]"),
+    ("pmax", "[0.5,-Infinity,0.1]", PHI),
+])
+def test_non_finite_vectors_are_malformed_input(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_simulate_rejects_a_plan_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli("simulate", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_plan_has_no_protocol_option():
+    code, _, _ = run_cli("plan", "--protocol", "thrifty", PSI, PHI)
+    assert code == 2
+
+
+def test_simulate_named_pair_without_protocol_is_usage_error(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"vectors": {"a": [0.5, 0.4, 0.1], "b": [0.6, 0.2, 0.2]},
+                                "pairs": {"w": ["a", "b"]}}))
+    code, out, err = run_cli("simulate", "--file", str(path), "--pair", "w")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

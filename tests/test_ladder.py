@@ -5,8 +5,9 @@ import hypothesis.strategies as st
 
 from majlat import config
 from majlat.errors import RankDeficit
-from majlat.lattice import meet
+from majlat.lattice import join, meet
 from majlat.ladder import (
+    RatioLadder,
     intermediate_state,
     monotones,
     p_max,
@@ -14,7 +15,7 @@ from majlat.ladder import (
     ratio_ladder,
 )
 from majlat.sampling import random_incomparable_pair, random_tied_majorization
-from majlat.schmidt import MajOrder, ProbVec, canonicalize, compare, majorizes_margin
+from majlat.schmidt import MajOrder, ProbVec, canonicalize, compare, majorizes_margin, pad_pair
 
 from conftest import prob_vec_pairs, prob_vecs, rngs
 
@@ -175,6 +176,59 @@ def test_ladder_consistency(pair):
     assert e_chi.at(l1) == pytest.approx(
         ladder.ratios[0] * monotones(ladder.target).at(l1), abs=1e-12
     )
+
+
+def argmin_ladder(p, q):
+    """Reference ladder: one argmin over the leading segment per rung."""
+    s, t = pad_pair(p, q)
+    es, et = np.cumsum(s[::-1])[::-1], np.cumsum(t[::-1])[::-1]
+    first = np.full(et.shape, np.inf)
+    admissible = et > config.get_epsilon()
+    first[admissible] = es[admissible] / et[admissible]
+    l = int(np.argmin(first))
+    ratios, indices = [min(float(first[l]), 1.0)], [l + 1]
+    while indices[-1] != 1:
+        lp = indices[-1]
+        block = (es[: lp - 1] - es[lp - 1]) / (et[: lp - 1] - et[lp - 1])
+        j = int(np.argmin(block))
+        ratios.append(float(block[j]))
+        indices.append(j + 1)
+    return tuple(ratios), tuple(indices)
+
+
+def _reference_cases(p, q, zeros):
+    return [
+        (p, ProbVec(q.entries + (0.0,) * zeros)),  # target with zero coefficients
+        (p, meet(p, q)),                           # thrifty core
+        (join(p, q), q),                           # multi-source core
+    ]
+
+
+def test_hull_ladder_is_bit_identical_to_argmin_reference():
+    rng = np.random.default_rng(1999)
+    for _ in range(600):
+        d = int(rng.integers(2, 13))
+        p, q = (ProbVec(tuple(np.sort(rng.dirichlet(np.ones(d)))[::-1])) for _ in range(2))
+        for source, target in _reference_cases(p, q, int(rng.integers(0, 4))):
+            ladder = ratio_ladder(source, target)
+            assert (ladder.ratios, ladder.indices) == argmin_ladder(source, target)
+
+
+@given(prob_vec_pairs(max_dim=12), st.integers(0, 3), st.integers(2, 5))
+def test_hull_ladder_matches_argmin_reference_up_to_rounding_ties(pair, zeros, levels):
+    """Where monotone points are collinear in exact arithmetic (entries on a few
+    levels, simple fractions), rounding decides which of them is a block
+    boundary, differently for the hull and the argmin loop; the block ratios
+    then agree to rounding."""
+    p, q = pair
+    tied = np.round(p.as_array() * levels) + 1.0
+    cases = _reference_cases(p, q, zeros) + [(ProbVec(tuple(np.sort(tied / tied.sum())[::-1])), q)]
+    for source, target in cases:
+        ladder = ratio_ladder(source, target)
+        ratios, indices = argmin_ladder(source, target)
+        assert (ladder.ratios[0], ladder.indices[0]) == (ratios[0], indices[0])
+        reference = RatioLadder(ladder.source, ladder.target, ratios, indices)
+        assert r_vector(ladder) == pytest.approx(r_vector(reference), rel=1e-12)
 
 
 @given(prob_vec_pairs())

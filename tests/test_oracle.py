@@ -15,6 +15,7 @@ from majlat.oracle import (
 from majlat.protocols import apply_two_outcome, kraus_diagonals, plan_thrifty, plan_vidal
 from majlat.sampling import random_incomparable_pair
 from majlat.schmidt import canonicalize
+from majlat.sweep import run_sweep
 
 from conftest import prob_vecs, rngs
 
@@ -150,3 +151,13 @@ class TestRunPlan:
         plan = plan_thrifty(*worked_pair)
         with pytest.raises(ValueError):
             run_plan(plan, shots=0)
+
+
+def test_numpy_integer_seeds_are_reported(worked_pair):
+    stats = run_plan(plan_thrifty(*worked_pair), shots=10, seed=np.int64(3))
+    assert stats.to_dict()["seed"] == 3
+    assert type(stats.seed) is int
+    report = run_sweep(3, 2, seed=np.int64(3), properties=["axioms"])
+    assert report.to_dict()["seed"] == 3
+    assert type(report.seed) is int
+    assert run_plan(plan_thrifty(*worked_pair), shots=10, seed=np.random.default_rng(3)).seed is None

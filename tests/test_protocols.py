@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -342,3 +343,47 @@ def test_validate_plan_rejects_bad_deterministic_step(worked_pair):
     )
     with pytest.raises(ValueError):
         validate_plan(broken)
+
+
+def test_validate_plan_rejects_an_empty_plan(worked_pair):
+    plan = dataclasses.replace(plan_thrifty(*worked_pair), steps=())
+    with pytest.raises(ValueError, match="no steps"):
+        validate_plan(plan)
+
+
+def test_validate_plan_rejects_steps_that_do_not_chain(worked_pair):
+    plan = plan_thrifty(*worked_pair)
+    validate_plan(plan)
+    reordered = dataclasses.replace(plan, steps=plan.steps[-1:] + plan.steps[:-1])
+    with pytest.raises(ValueError, match="does not lead to"):
+        validate_plan(reordered)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "plan", 3, None])
+def test_plan_from_dict_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="JSON object"):
+        plan_from_dict(doc)
+
+
+def test_planners_share_one_analysis_per_pair(monkeypatch):
+    """vidal + greedy + thrifty on one incomparable pair: at most 4 rank checks and 4 compares."""
+    import majlat.ladder
+    import majlat.protocols
+
+    p, q = random_incomparable_pair(5, np.random.default_rng(4))
+    calls = {"rank": 0, "compare": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (majlat.ladder, majlat.protocols):
+        monkeypatch.setattr(module, "_check_ranks", counted("rank", module._check_ranks))
+    monkeypatch.setattr(majlat.protocols, "compare", counted("compare", compare))
+    plan_vidal(p, q)
+    plan_greedy(p, q)
+    plan_thrifty(p, q)
+    assert calls["rank"] <= 4
+    assert calls["compare"] <= 4

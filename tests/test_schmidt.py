@@ -47,6 +47,11 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             canonicalize([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            canonicalize([bad, 1.0])
+
 
 class TestCompare:
     def test_worked_pair_incomparable(self, worked_pair):
