@@ -349,6 +349,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    previous = config.get_epsilon()
+    try:
+        return _run(args)
+    finally:
+        config.set_epsilon(previous)  # --epsilon applies to this call only
+
+
+def _run(args) -> int:
     epsilon = getattr(args, "epsilon", None)
     if epsilon is not None:
         try:

@@ -95,6 +95,11 @@ def schmidt_spectrum(state: BipartiteState) -> ProbVec:
     return ProbVec(tuple(float(x) for x in lam))
 
 
+def _branch_spectrum(state: BipartiteState, diag, prob: float) -> ProbVec:
+    """Schmidt spectrum of the normalized branch diag(k) @ amplitudes / sqrt(prob)."""
+    return schmidt_spectrum(BipartiteState(np.diag(diag) @ state.amplitudes / np.sqrt(prob)))
+
+
 def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[float, float]:
     """Exact probabilities of the two measurement outcomes."""
     if state.dim != kraus.dim:
@@ -133,16 +138,12 @@ def _walk_plan(plan: ConversionPlan):
             records.append(("det", step.to_state))
         else:
             p_m, p_n = branch_probabilities(state, step.kraus)
-            if p_n > get_epsilon():
-                n_post = np.diag(step.kraus.n_diag) @ state.amplitudes
-                failure_spec = schmidt_spectrum(BipartiteState(n_post / np.sqrt(p_n)))
-            else:
-                failure_spec = None
+            failure_spec = (_branch_spectrum(state, step.kraus.n_diag, p_n)
+                            if p_n > get_epsilon() else None)
             records.append(("prob", p_m, failure_spec))
             if p_m <= get_epsilon():
                 break  # success path unreachable, later steps never execute
-            m_post = np.diag(step.kraus.m_diag) @ state.amplitudes
-            state = embed(schmidt_spectrum(BipartiteState(m_post / np.sqrt(p_m))))
+            state = embed(_branch_spectrum(state, step.kraus.m_diag, p_m))
     return records
 
 

@@ -283,36 +283,54 @@ def step_monotone_slack(step: PlanStep) -> float:
     return float(np.min(suffix(step.from_state) - e_avg))
 
 
+def _deviation(p: ProbVec, q: ProbVec) -> float:
+    """Largest entrywise difference of two spectra after zero padding."""
+    return float(np.max(np.abs(np.subtract(*pad_pair(p, q)))))
+
+
 def validate_plan(plan: ConversionPlan) -> None:
-    """Check the structural invariants of a plan; raise ValueError on violation."""
+    """Check the invariants of a plan; raise ValueError on violation.
+
+    Every probabilistic step is re-applied to its input: the claimed success
+    probability, success state and failure state must match what its Kraus
+    operators give.  Comparisons are written so that NaN fails them.
+    """
     eps = get_epsilon()
     if not plan.steps:
         raise ValueError("plan has no steps")
     for step, after in zip(plan.steps, plan.steps[1:]):
-        if np.max(np.abs(np.subtract(*pad_pair(step.to_state, after.from_state)))) > eps:
+        if not _deviation(step.to_state, after.from_state) <= eps:
             raise ValueError(f"step to {step.to_name} does not lead to step from {after.from_name}")
     prob_product = 1.0
     for step in plan.steps:
+        name = f"{step.from_name}->{step.to_name}"
         for state in (step.from_state, step.to_state):
             arr = state.as_array()
-            if abs(arr.sum() - 1.0) > eps or np.any(np.diff(arr) > eps):
-                raise ValueError(f"non-canonical state in step {step.from_name}->{step.to_name}")
+            if not (abs(arr.sum() - 1.0) <= eps and np.all(np.diff(arr) <= eps)):
+                raise ValueError(f"non-canonical state in step {name}")
         if step.kind is StepKind.DETERMINISTIC:
             if compare(step.from_state, step.to_state) not in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
-                raise ValueError(
-                    f"deterministic step {step.from_name}->{step.to_name} is not allowed"
-                )
-        else:
-            if step.kraus is None or step.success_prob is None:
-                raise ValueError("probabilistic step lacks Kraus data or probability")
-            if not (0.0 < step.success_prob <= 1.0):
-                raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
-            m = np.asarray(step.kraus.m_diag)
-            n = np.asarray(step.kraus.n_diag)
-            if np.max(np.abs(m**2 + n**2 - 1.0)) > eps:
-                raise ValueError("Kraus diagonals violate completeness")
-            prob_product *= step.success_prob
-    if abs(plan.success_prob - prob_product) > eps:
+                raise ValueError(f"deterministic step {name} is not allowed")
+            continue
+        if step.kraus is None or step.success_prob is None:
+            raise ValueError("probabilistic step lacks Kraus data or probability")
+        if not (0.0 < step.success_prob <= 1.0):
+            raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
+        m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
+        if not np.max(np.abs(m_sq + n_sq - 1.0)) <= eps:
+            raise ValueError("Kraus diagonals violate completeness")
+        outcome = apply_two_outcome(step.from_state, step.kraus)
+        if not abs(outcome.success_prob - step.success_prob) <= eps:
+            raise ValueError(f"step {name} claims success probability {step.success_prob}, "
+                             f"its Kraus operators give {outcome.success_prob}")
+        for branch, claimed, derived in (("success", step.to_state, outcome.success_state),
+                                         ("failure", step.failure_state, outcome.failure_state)):
+            if claimed is not None and (derived is None or not _deviation(claimed, derived) <= eps):
+                given = "a branch of probability ~0" if derived is None else derived
+                raise ValueError(f"step {name} claims the {branch} state {claimed}, "
+                                 f"its Kraus operators give {given}")
+        prob_product *= step.success_prob
+    if not abs(plan.success_prob - prob_product) <= eps:
         raise ValueError("plan success probability != product of step probabilities")
 
 
@@ -345,8 +363,8 @@ def step_from_dict(doc: dict) -> PlanStep:
     kwargs = {}
     if kind is StepKind.PROBABILISTIC:
         kwargs["kraus"] = KrausDiagonals(
-            m_diag=tuple(doc["kraus"]["m_diag"]),
-            n_diag=tuple(doc["kraus"]["n_diag"]),
+            m_diag=tuple(float(x) for x in doc["kraus"]["m_diag"]),
+            n_diag=tuple(float(x) for x in doc["kraus"]["n_diag"]),
         )
         kwargs["success_prob"] = float(doc["success_prob"])
         if "failure" in doc:
@@ -394,13 +412,16 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
         raise ValueError(f"a plan document is a JSON object, not {type(doc).__name__}")
     residual = doc.get("residual")
     ladder = doc.get("ladder")
-    return ConversionPlan(
-        protocol=doc["protocol"],
-        steps=tuple(step_from_dict(s) for s in doc["steps"]),
-        success_prob=float(doc["success_prob"]),
-        residual=None if residual is None else ProbVec(tuple(residual)),
-        ladder=None if ladder is None else _ladder_from_dict(ladder),
-    )
+    try:
+        return ConversionPlan(
+            protocol=doc["protocol"],
+            steps=tuple(step_from_dict(s) for s in doc["steps"]),
+            success_prob=float(doc["success_prob"]),
+            residual=None if residual is None else ProbVec(tuple(residual)),
+            ladder=None if ladder is None else _ladder_from_dict(ladder),
+        )
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed plan document: {exc}") from None
 
 
 def multi_target_to_dict(plan: MultiTargetPlan) -> dict:

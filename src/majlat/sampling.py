@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schmidt import MajOrder, ProbVec, compare
+from .schmidt import ProbVec
 
 
 def random_prob_vec(dim: int, rng) -> ProbVec:
@@ -24,19 +24,6 @@ def random_prob_vecs(dim: int, count: int, rng) -> list[ProbVec]:
     batch = rng.dirichlet(np.ones(dim), size=count)
     batch = np.sort(batch, axis=1)[:, ::-1]
     return [ProbVec(tuple(float(x) for x in row)) for row in batch]
-
-
-def random_incomparable_pair(dim: int, rng, max_tries: int = 10_000) -> tuple[ProbVec, ProbVec]:
-    """Rejection-sample a pair ordered in neither direction (needs dim >= 3)."""
-    if dim < 3:
-        raise ValueError("all sorted pairs of dimension <= 2 are comparable")
-    rng = np.random.default_rng(rng)
-    for _ in range(max_tries):
-        p = random_prob_vec(dim, rng)
-        q = random_prob_vec(dim, rng)
-        if compare(p, q) is MajOrder.INCOMPARABLE:
-            return p, q
-    raise RuntimeError(f"no incomparable pair found in {max_tries} tries at dim {dim}")
 
 
 def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, ProbVec]]:

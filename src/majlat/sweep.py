@@ -1,23 +1,27 @@
 """Batch property sweeps over random instances.
 
-Each property check returns whether it applied to the instance, whether it
-held, and the tightest slack it observed (for majorization checks: the most
-negative partial-sum margin; for equalities: minus the absolute deviation).
-Properties needing incomparable pairs simply skip comparable draws, so at
-dimension 2 they report zero applicable instances.
+Each paper property is stated once, as a checker of the instance it is
+about: a pair, a weighted pair, a fan-out/fan-in ensemble or built plans.
+A checker returns whether the property held and the tightest slack it
+observed (for majorization checks: the most negative partial-sum margin;
+for equalities: minus the absolute deviation), plus a failure record.
+``run_sweep`` draws every instance from one random pair; properties needing
+incomparable pairs skip comparable draws, so at dimension 2 they report
+zero applicable instances.  The acceptance suite runs the same checkers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import get_epsilon
 from .lattice import join, join_many, meet, meet_many
 from .ladder import monotones, p_max, ratio_ladder
-from .oracle import BipartiteState, _reported_seed, branch_probabilities, embed, schmidt_spectrum
+from .oracle import _branch_spectrum, _reported_seed, branch_probabilities, embed
 from .protocols import (
+    ConversionPlan,
     apply_two_outcome,
     plan_greedy,
     plan_thrifty,
@@ -60,14 +64,7 @@ class PropertyOutcome:
             self.worst_slack = slack if self.worst_slack is None else min(self.worst_slack, slack)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "failed": self.failed,
-            "worst_slack": self.worst_slack,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -89,33 +86,24 @@ class SweepReport:
         return min(slacks) if slacks else None
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "count": self.count,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "distribution": self.distribution,
-            "total_failures": self.total_failures,
-            "worst_slack": self.worst_slack,
-            "properties": [p.to_dict() for p in self.properties],
-        }
+        doc = asdict(self)
+        properties = doc.pop("properties")
+        return {**doc, "total_failures": self.total_failures,
+                "worst_slack": self.worst_slack, "properties": properties}
 
 
 def _desc(*vecs: ProbVec) -> dict:
     return {f"vector_{i}": list(v.entries) for i, v in enumerate(vecs)}
 
 
-def _pair_margins(checks) -> float:
-    """Smallest margin of a list of (smaller, larger) majorization claims."""
-    return min(majorizes_margin(a, b) for a, b in checks)
+def _plan_desc(plan: ConversionPlan) -> dict:
+    return _desc(plan.ladder.source, plan.ladder.target)
 
 
 def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
     m = meet(p, q)
     j = join(p, q)
-    slacks = [
-        _pair_margins([(m, p), (m, q), (p, j), (q, j)]),
-    ]
+    slacks = [min(majorizes_margin(a, b) for a, b in ((m, p), (m, q), (p, j), (q, j)))]
     ok = slacks[0] >= MARGIN_FLOOR
 
     # idempotence and commutativity hold to rounding; absorption within epsilon
@@ -144,31 +132,21 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
     touch = float(np.min(np.abs(cj - np.maximum(cp, cq))))
     ok = ok and touch <= EQUALITY_TOL  # envelope touches the max somewhere
 
-    # defining property witnesses
+    # defining-property witnesses, each checked only when its premise holds
+    weak = (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
     below = robin_hood_transfer(m, rng, steps=2)
-    if compare(below, p) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT) and compare(
-        below, q
-    ) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
-        wit = majorizes_margin(below, m)
-        slacks.append(wit)
-        ok = ok and wit >= MARGIN_FLOOR
     above = sharpening_transfer(j, rng, steps=2)
-    if compare(p, above) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT) and compare(
-        q, above
-    ) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
-        wit = majorizes_margin(j, above)
-        slacks.append(wit)
-        ok = ok and wit >= MARGIN_FLOOR
-    # random probe, checked only when it happens to bound both inputs
     probe = random_prob_vec(p.dim, rng)
-    if compare(probe, p) is MajOrder.PRECEDES and compare(probe, q) is MajOrder.PRECEDES:
-        wit = majorizes_margin(probe, m)
-        slacks.append(wit)
-        ok = ok and wit >= MARGIN_FLOOR
-    if compare(p, probe) is MajOrder.PRECEDES and compare(q, probe) is MajOrder.PRECEDES:
-        wit = majorizes_margin(j, probe)
-        slacks.append(wit)
-        ok = ok and wit >= MARGIN_FLOOR
+    for lower, upper, premise in (
+        (below, m, all(compare(below, v) in weak for v in (p, q))),
+        (j, above, all(compare(v, above) in weak for v in (p, q))),
+        (probe, m, all(compare(probe, v) is MajOrder.PRECEDES for v in (p, q))),
+        (j, probe, all(compare(v, probe) is MajOrder.PRECEDES for v in (p, q))),
+    ):
+        if premise:
+            wit = majorizes_margin(lower, upper)
+            slacks.append(wit)
+            ok = ok and wit >= MARGIN_FLOOR
 
     # fold-order independence on a random triple
     extra = random_prob_vec(p.dim, rng)
@@ -188,7 +166,8 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
     return ok, min(slacks), detail
 
 
-def _check_meet_monotones(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
+def _check_meet_monotones(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
+    """Lemma 1: the meet's monotones are the pointwise max of the inputs'."""
     d = max(p.dim, q.dim)
     em = np.asarray(monotones(meet(p, q)).values)
     ep = np.asarray(monotones(p.padded(d)).values)
@@ -198,8 +177,8 @@ def _check_meet_monotones(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dic
     return ok, -dev, None if ok else {"check": "meet-monotones", "deviation": dev, **_desc(p, q)}
 
 
-def _check_hadamard(dim: int, rng) -> tuple[bool, float, dict | None]:
-    x, y, a = random_tied_majorization(dim, rng)
+def _check_hadamard(x: ProbVec, y: ProbVec, a) -> tuple[bool, float, dict | None]:
+    """Lemma 2: x majorized by y stays so after the entrywise product with weights a."""
     u = ProbVec(tuple(float(v) for v in np.asarray(a) * x.as_array()))
     v = ProbVec(tuple(float(v) for v in np.asarray(a) * y.as_array()))
     slack = majorizes_margin(u, v)
@@ -208,7 +187,8 @@ def _check_hadamard(dim: int, rng) -> tuple[bool, float, dict | None]:
     return ok, slack, detail
 
 
-def _check_equal_optimal_prob(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
+def _check_equal_optimal_prob(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
+    """Theorem 1: the optimal probability to the target equals the one to the meet."""
     r_direct = ratio_ladder(p, q).ratios[0]
     r_via_meet = ratio_ladder(p, meet(p, q)).ratios[0]
     dev = abs(r_direct - r_via_meet)
@@ -216,9 +196,8 @@ def _check_equal_optimal_prob(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float,
     return ok, -dev, None if ok else {"check": "equal-optimal-prob", "deviation": dev, **_desc(p, q)}
 
 
-def _check_residual_order(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
-    greedy = plan_vidal(p, q)
-    thrifty = plan_thrifty(p, q)
+def _check_residual_order(greedy: ConversionPlan, thrifty: ConversionPlan) -> tuple[bool, float, dict | None]:
+    """Theorem 2: thrifty residual and intermediate are majorized by the greedy (Vidal) ones."""
     chi = greedy.steps[0].to_state
     zeta = thrifty.steps[0].to_state
     slack = min(
@@ -226,61 +205,69 @@ def _check_residual_order(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dic
         majorizes_margin(zeta, chi),
     )
     ok = slack >= MARGIN_FLOOR
-    return ok, slack, None if ok else {"check": "residual-order", **_desc(p, q)}
+    return ok, slack, None if ok else {"check": "residual-order", **_plan_desc(greedy)}
 
 
-def _check_multi_state(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
-    extra = int(rng.integers(1, 4))
-    targets = [q] + [random_prob_vec(p.dim, rng) for _ in range(extra)]
-    direct = [p_max(p, t) for t in targets]
-    dev_meet = abs(p_max(p, meet_many([p, *targets])) - min(direct))
-    sources = [p] + [random_prob_vec(p.dim, rng) for _ in range(extra)]
-    tgt = q
-    fan_in = [p_max(s, tgt) for s in sources]
-    dev_join = abs(p_max(join_many([*sources, tgt]), tgt) - min(fan_in))
+def _check_multi_state(source: ProbVec, targets, sources, target: ProbVec) -> tuple[bool, float, dict | None]:
+    """Theorem 3: the n-ary meet (join) gives the worst fan-out (fan-in) probability."""
+    direct = [p_max(source, t) for t in targets]
+    dev_meet = abs(p_max(source, meet_many([source, *targets])) - min(direct))
+    fan_in = [p_max(s, target) for s in sources]
+    dev_join = abs(p_max(join_many([*sources, target]), target) - min(fan_in))
     dev = max(dev_meet, dev_join)
     ok = dev <= EQUALITY_TOL
-    return ok, -dev, None if ok else {"check": "multi-state", "deviation": dev, **_desc(p, q)}
+    return ok, -dev, None if ok else {"check": "multi-state", "deviation": dev, **_desc(source, target)}
 
 
-def _check_monotone_soundness(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
-    plans = [plan_vidal(p, q)]
-    if compare(p, q) is MajOrder.INCOMPARABLE:
-        plans += [plan_greedy(p, q), plan_thrifty(p, q)]
+def _check_monotone_soundness(*plans: ConversionPlan) -> tuple[bool, float, dict | None]:
+    """Average monotones never increase along the steps of the given plans."""
     slack = min(step_monotone_slack(s) for plan in plans for s in plan.steps)
     ok = slack >= MARGIN_FLOOR
-    return ok, slack, None if ok else {"check": "monotone-soundness", **_desc(p, q)}
+    return ok, slack, None if ok else {"check": "monotone-soundness", **_plan_desc(plans[0])}
 
 
-def _check_oracle_match(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
+def _check_oracle_match(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
+    """Vidal's measurement on the dense simulator matches the analytic one."""
     measurement = plan_vidal(p, q).steps[1]
     chi, kraus = measurement.from_state, measurement.kraus
     analytic = apply_two_outcome(chi, kraus)
     state = embed(chi)
     p_m, p_n = branch_probabilities(state, kraus)
     devs = [abs(p_m - analytic.success_prob), abs(p_m + p_n - 1.0)]
-    m_post = np.diag(kraus.m_diag) @ state.amplitudes
-    succ = schmidt_spectrum(BipartiteState(m_post / np.sqrt(p_m)))
+    succ = _branch_spectrum(state, kraus.m_diag, p_m)
     devs.append(float(np.max(np.abs(succ.as_array() - analytic.success_state.as_array()))))
     if analytic.failure_state is not None:
-        n_post = np.diag(kraus.n_diag) @ state.amplitudes
-        fail = schmidt_spectrum(BipartiteState(n_post / np.sqrt(p_n)))
+        fail = _branch_spectrum(state, kraus.n_diag, p_n)
         devs.append(float(np.max(np.abs(fail.as_array() - analytic.failure_state.as_array()))))
     dev = max(devs)
     ok = dev <= ORACLE_TOL
     return ok, -dev, None if ok else {"check": "oracle-match", "deviation": dev, **_desc(p, q)}
 
 
-# name -> (needs incomparable pair, checker)
+def _multi_state(p: ProbVec, q: ProbVec, rng):
+    extra = int(rng.integers(1, 4))
+    targets = [q] + [random_prob_vec(p.dim, rng) for _ in range(extra)]
+    sources = [p] + [random_prob_vec(p.dim, rng) for _ in range(extra)]
+    return _check_multi_state(p, targets, sources, q)
+
+
+def _monotone_soundness(p: ProbVec, q: ProbVec, rng):
+    plans = [plan_vidal(p, q)]
+    if compare(p, q) is MajOrder.INCOMPARABLE:
+        plans += [plan_greedy(p, q), plan_thrifty(p, q)]
+    return _check_monotone_soundness(*plans)
+
+
+# name -> (needs incomparable pair, check of one drawn (p, q, rng) instance)
 CHECKERS = {
     "axioms": (False, _check_axioms),
-    "meet-monotones": (False, _check_meet_monotones),
-    "hadamard-order": (False, _check_hadamard),
-    "equal-optimal-prob": (True, _check_equal_optimal_prob),
-    "residual-order": (True, _check_residual_order),
-    "multi-state": (False, _check_multi_state),
-    "monotone-soundness": (False, _check_monotone_soundness),
-    "oracle-match": (True, _check_oracle_match),
+    "meet-monotones": (False, lambda p, q, rng: _check_meet_monotones(p, q)),
+    "hadamard-order": (False, lambda p, q, rng: _check_hadamard(*random_tied_majorization(p.dim, rng))),
+    "equal-optimal-prob": (True, lambda p, q, rng: _check_equal_optimal_prob(p, q)),
+    "residual-order": (True, lambda p, q, rng: _check_residual_order(plan_vidal(p, q), plan_thrifty(p, q))),
+    "multi-state": (False, _multi_state),
+    "monotone-soundness": (False, _monotone_soundness),
+    "oracle-match": (True, lambda p, q, rng: _check_oracle_match(p, q)),
 }
 
 ALIASES = {
@@ -323,11 +310,7 @@ def run_sweep(dim: int, count: int, seed=None, properties=None) -> SweepReport:
             needs_incomparable, checker = CHECKERS[name]
             if needs_incomparable and not incomparable:
                 continue
-            if name == "hadamard-order":
-                ok, slack, detail = checker(dim, rng)
-            else:
-                ok, slack, detail = checker(p, q, rng)
-            outcomes[name].record(ok, slack, detail)
+            outcomes[name].record(*checker(p, q, rng))
     return SweepReport(
         dim=dim,
         count=count,

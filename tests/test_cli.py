@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from majlat import canonicalize, compare, config, plan_thrifty, plan_to_dict
 from majlat.cli import main
+from majlat.schmidt import MajOrder
 
 PSI = "[0.5,0.4,0.1]"
 PHI = "[0.6,0.2,0.2]"
@@ -237,6 +243,15 @@ def test_global_epsilon_flag():
     assert code == 0
 
 
+def test_epsilon_flag_applies_to_one_call_only():
+    before = config.get_epsilon()
+    code, _, _ = run_cli("--epsilon", "0.2", "compare", PSI, PHI)
+    assert code == 0
+    assert config.get_epsilon() == before
+    psi, phi = canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])
+    assert compare(psi, phi) is MajOrder.INCOMPARABLE
+
+
 @pytest.mark.parametrize("argv", [
     ("compare", "[NaN,1]", "[1,0]"),
     ("compare", "[Infinity,0]", PHI),
@@ -272,3 +287,56 @@ def test_simulate_named_pair_without_protocol_is_usage_error(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def _state_null(doc):
+    doc["steps"][0]["from"]["state"] = None
+
+
+def _steps_int(doc):
+    doc["steps"] = 5
+
+
+def _success_prob_null(doc):
+    doc["success_prob"] = None
+
+
+def _from_string(doc):
+    doc["steps"][0]["from"] = "x"
+
+
+def _failure_state_null(doc):
+    doc["steps"][1]["failure"]["state"] = None
+
+
+def _kraus_entry_null(doc):
+    doc["steps"][1]["kraus"]["m_diag"][0] = None
+
+
+def _kraus_entry_string(doc):
+    doc["steps"][1]["kraus"]["n_diag"][0] = "x"
+
+
+@pytest.mark.parametrize("tamper", [
+    _state_null, _steps_int, _success_prob_null, _from_string, _failure_state_null,
+    _kraus_entry_null, _kraus_entry_string,
+])
+def test_simulate_rejects_wrong_typed_plan_fields(tmp_path, tamper):
+    doc = plan_to_dict(plan_thrifty(canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])))
+    tamper(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("simulate", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_protocol_walkthrough_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "protocol_walkthrough.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "residual  (0.625, 0.375, 0)" in proc.stdout

@@ -14,7 +14,7 @@ from majlat.ladder import (
     r_vector,
     ratio_ladder,
 )
-from majlat.sampling import random_incomparable_pair, random_tied_majorization
+from majlat.sampling import random_incomparable_pairs, random_tied_majorization
 from majlat.schmidt import MajOrder, ProbVec, canonicalize, compare, majorizes_margin, pad_pair
 
 from conftest import prob_vec_pairs, prob_vecs, rngs
@@ -243,7 +243,7 @@ def test_meet_monotones_are_pointwise_max(pair):
 
 @given(st.integers(3, 8), rngs())
 def test_equal_conversion_probability_to_meet(dim, rng):
-    p, q = random_incomparable_pair(dim, rng)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
     assert ratio_ladder(p, meet(p, q)).ratios[0] == pytest.approx(
         ratio_ladder(p, q).ratios[0], abs=1e-12
     )

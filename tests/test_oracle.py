@@ -13,7 +13,7 @@ from majlat.oracle import (
     schmidt_spectrum,
 )
 from majlat.protocols import apply_two_outcome, kraus_diagonals, plan_thrifty, plan_vidal
-from majlat.sampling import random_incomparable_pair
+from majlat.sampling import random_incomparable_pairs
 from majlat.schmidt import canonicalize
 from majlat.sweep import run_sweep
 
@@ -100,7 +100,7 @@ class TestMeasure:
 
 @given(st.integers(3, 8), rngs())
 def test_oracle_matches_analytic_measurement(dim, rng):
-    source, target = random_incomparable_pair(dim, rng)
+    source, target = random_incomparable_pairs(dim, 1, rng)[0]
     ladder = ratio_ladder(source, target)
     kraus = kraus_diagonals(ladder)
     chi = plan_vidal(source, target).steps[0].to_state

@@ -11,6 +11,9 @@ from majlat.errors import DegenerateBranch, RankDeficit
 from majlat.lattice import join, meet, meet_many
 from majlat.ladder import p_max, ratio_ladder
 from majlat.protocols import (
+    ConversionPlan,
+    KrausDiagonals,
+    PlanStep,
     StepKind,
     apply_two_outcome,
     kraus_diagonals,
@@ -27,7 +30,7 @@ from majlat.protocols import (
     step_monotone_slack,
     validate_plan,
 )
-from majlat.sampling import random_incomparable_pair, random_prob_vec
+from majlat.sampling import random_incomparable_pairs, random_prob_vec
 from majlat.schmidt import (
     MajOrder,
     canonicalize,
@@ -151,7 +154,7 @@ class TestPlanGreedy:
 
     @given(st.integers(3, 6), rngs())
     def test_join_majorizes_source(self, dim, rng):
-        p, q = random_incomparable_pair(dim, rng)
+        p, q = random_incomparable_pairs(dim, 1, rng)[0]
         plan = plan_greedy(p, q)
         assert compare(plan.steps[0].from_state, plan.steps[0].to_state) is MajOrder.PRECEDES
 
@@ -253,7 +256,7 @@ class TestMultiSource:
 
 @given(st.integers(3, 8), rngs())
 def test_protocols_agree_on_success_probability(dim, rng):
-    p, q = random_incomparable_pair(dim, rng)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
     pv = plan_vidal(p, q)
     pg = plan_greedy(p, q)
     pt = plan_thrifty(p, q)
@@ -268,7 +271,7 @@ def test_protocols_agree_on_success_probability(dim, rng):
 
 @given(st.integers(3, 8), rngs())
 def test_thrifty_keeps_more_entanglement_on_failure(dim, rng):
-    p, q = random_incomparable_pair(dim, rng)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
     greedy = plan_greedy(p, q)
     thrifty = plan_thrifty(p, q)
     assert majorizes_margin(thrifty.residual, greedy.residual) >= -1e-9
@@ -279,7 +282,7 @@ def test_thrifty_keeps_more_entanglement_on_failure(dim, rng):
 
 @given(st.integers(3, 8), rngs())
 def test_residual_rank_drop(dim, rng):
-    p, q = random_incomparable_pair(dim, rng)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
     greedy = plan_greedy(p, q)
     thrifty = plan_thrifty(p, q)
     assert effective_rank(greedy.residual) < effective_rank(q)
@@ -288,7 +291,7 @@ def test_residual_rank_drop(dim, rng):
 
 @given(st.integers(3, 6), rngs())
 def test_every_step_is_monotone_sound(dim, rng):
-    p, q = random_incomparable_pair(dim, rng)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
     for plan in (plan_vidal(p, q), plan_greedy(p, q), plan_thrifty(p, q)):
         validate_plan(plan)
         for step in plan.steps:
@@ -359,6 +362,38 @@ def test_validate_plan_rejects_steps_that_do_not_chain(worked_pair):
         validate_plan(reordered)
 
 
+def _claim_probability_09(doc):
+    doc["success_prob"] = doc["steps"][1]["success_prob"] = 0.9  # the Kraus operators give 0.5
+
+
+def _claim_pure_failure_state(doc):
+    doc["steps"][1]["failure"]["state"] = [1.0, 0.0, 0.0]
+
+
+def _nan_kraus_entry(doc):
+    doc["steps"][1]["kraus"]["m_diag"][0] = math.nan
+
+
+@pytest.mark.parametrize("tamper", [_claim_probability_09, _claim_pure_failure_state, _nan_kraus_entry])
+def test_validate_plan_reapplies_the_measurement(worked_pair, tamper):
+    doc = plan_to_dict(plan_thrifty(*worked_pair))
+    validate_plan(plan_from_dict(doc))
+    tamper(doc)
+    with pytest.raises(ValueError):
+        validate_plan(plan_from_dict(doc))
+
+
+def test_validate_plan_rejects_a_failure_state_of_a_branch_that_never_happens(worked_pair):
+    _, q = worked_pair
+    step = PlanStep(StepKind.PROBABILISTIC, "q", q, "q", q,
+                    kraus=KrausDiagonals((1.0,) * 3, (0.0,) * 3), success_prob=1.0,
+                    failure_name="residual", failure_state=canonicalize([0.5, 0.5, 0.0]))
+    plan = ConversionPlan("vidal", (step,), 1.0)
+    validate_plan(dataclasses.replace(plan, steps=(dataclasses.replace(step, failure_state=None),)))
+    with pytest.raises(ValueError, match="probability ~0"):
+        validate_plan(plan)
+
+
 @pytest.mark.parametrize("doc", [[1, 2], "plan", 3, None])
 def test_plan_from_dict_rejects_a_document_that_is_not_an_object(doc):
     with pytest.raises(ValueError, match="JSON object"):
@@ -370,7 +405,7 @@ def test_planners_share_one_analysis_per_pair(monkeypatch):
     import majlat.ladder
     import majlat.protocols
 
-    p, q = random_incomparable_pair(5, np.random.default_rng(4))
+    p, q = random_incomparable_pairs(5, 1, np.random.default_rng(4))[0]
     calls = {"rank": 0, "compare": 0}
 
     def counted(key, fn):

@@ -1,0 +1,116 @@
+"""The sweep's property checkers: recorded reports and non-vacuity.
+
+``sweep_golden.json`` holds ``run_sweep(d, 200, seed=s).to_dict()`` with all
+properties for d in {2, 3, 5, 8} and s in {1, 2}, the stdout of
+``majlat sweep --dim 4 --count 50 --seed 3`` and of a seeded ``simulate``
+run; the tests compare with ``==``.  Regenerate only on purpose, when a
+change of results is intended:
+
+    PYTHONPATH=src python tests/test_sweep.py
+
+The acceptance criteria rest on these checkers, so each property must also
+report failures once the function it checks is broken.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from majlat import protocols, sampling, sweep
+from majlat.cli import main
+
+GOLDEN = Path(__file__).with_name("sweep_golden.json")
+SWEEPS = [(d, s) for d in (2, 3, 5, 8) for s in (1, 2)]
+CLI_RUNS = {
+    "sweep": ["sweep", "--dim", "4", "--count", "50", "--seed", "3"],
+    "simulate": ["simulate", "thrifty", "[0.5,0.4,0.1]", "[0.6,0.2,0.2]",
+                 "--shots", "2000", "--seed", "3"],
+}
+
+
+def _report(dim: int, seed: int) -> dict:
+    return json.loads(json.dumps(sweep.run_sweep(dim, 200, seed=seed).to_dict()))
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("dim,seed", SWEEPS)
+def test_sweep_reports_are_identical_to_the_golden_file(dim, seed):
+    assert _report(dim, seed) == _golden()["reports"][f"{dim}/{seed}"]
+
+
+@pytest.mark.parametrize("name", CLI_RUNS)
+def test_cli_output_is_identical_to_the_golden_file(name):
+    assert _stdout(CLI_RUNS[name]) == _golden()["cli"][name]
+
+
+def _first(a, *_):
+    return a
+
+
+def _reversed_first_step(plan):
+    """The plan with its first step run backwards (more ordered -> less ordered)."""
+    first = plan.steps[0]
+    backwards = dataclasses.replace(first, from_state=first.to_state, to_state=first.from_state)
+    return dataclasses.replace(plan, steps=(backwards,) + plan.steps[1:])
+
+
+def _lopsided_outcome(state, kraus):
+    outcome = protocols.apply_two_outcome(state, kraus)
+    return dataclasses.replace(outcome, success_prob=outcome.success_prob + 1e-6)
+
+
+def _reversed_weights(dim, rng):
+    x, y, a = sampling.random_tied_majorization(dim, rng)
+    return x, y, a[::-1]
+
+
+# property -> {sweep module attribute: broken replacement}
+TAMPERED = {
+    "axioms": {"meet": _first},
+    "meet-monotones": {"meet": _first},
+    "hadamard-order": {"random_tied_majorization": _reversed_weights},
+    "equal-optimal-prob": {"meet": _first},
+    "residual-order": {"plan_vidal": protocols.plan_thrifty, "plan_thrifty": protocols.plan_vidal},
+    "multi-state": {"meet_many": lambda vs: vs[0]},
+    "monotone-soundness": {"plan_vidal": lambda p, q: _reversed_first_step(protocols.plan_vidal(p, q))},
+    "oracle-match": {"apply_two_outcome": _lopsided_outcome},
+}
+
+
+def test_every_property_has_a_tampering():
+    assert set(TAMPERED) == set(sweep.CHECKERS)
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch):
+    dim = 4
+    assert sweep.run_sweep(dim, 100, seed=5, properties=[name]).total_failures == 0
+    for attr, broken in TAMPERED[name].items():
+        monkeypatch.setattr(sweep, attr, broken)
+    outcome = sweep.run_sweep(dim, 100, seed=5, properties=[name]).properties[0]
+    assert outcome.failed >= 1, outcome.to_dict()
+
+
+if __name__ == "__main__":
+    doc = {
+        "reports": {f"{d}/{s}": _report(d, s) for d, s in SWEEPS},
+        "cli": {name: _stdout(argv) for name, argv in CLI_RUNS.items()},
+    }
+    GOLDEN.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    print(f"wrote {len(doc['reports'])} reports and {len(doc['cli'])} CLI outputs to {GOLDEN}")
