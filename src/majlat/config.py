@@ -7,6 +7,8 @@ hundred doubles.  Set it once at startup (or via the CLI ``--epsilon`` flag);
 the library never mutates it.
 """
 
+import math
+
 DEFAULT_EPSILON = 1e-9
 
 _epsilon = DEFAULT_EPSILON
@@ -18,6 +20,6 @@ def get_epsilon() -> float:
 
 def set_epsilon(eps: float) -> None:
     global _epsilon
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
     _epsilon = float(eps)

@@ -410,6 +410,9 @@ def plan_to_dict(plan: ConversionPlan) -> dict:
 def plan_from_dict(doc: dict) -> ConversionPlan:
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not {type(doc).__name__}")
+    if "steps" not in doc:
+        raise ValueError(f"the {doc.get('protocol', 'unnamed')} plan document has no steps: "
+                         "simulate runs single conversion plans (vidal, greedy or thrifty)")
     residual = doc.get("residual")
     ladder = doc.get("ladder")
     try:

@@ -340,3 +340,32 @@ def test_protocol_walkthrough_script_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "residual  (0.625, 0.375, 0)" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("--epsilon", "nan", "pmax", PSI, PHI),
+    ("--epsilon", "inf", "compare", PSI, "[0.9,0.2,0.2]"),
+])
+def test_non_finite_epsilon_is_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_set_epsilon_rejects_non_finite_and_non_positive_values(eps):
+    with pytest.raises(ValueError):
+        config.set_epsilon(eps)
+
+
+@pytest.mark.parametrize("protocol", ["multi-target", "multi-source"])
+def test_simulate_names_a_multi_plan_it_cannot_run(tmp_path, protocol):
+    path = tmp_path / "plan.json"
+    code, _, _ = run_cli("plan", protocol, PSI, PHI, "[0.7,0.2,0.1]", "--output", str(path))
+    assert code == 0
+    code, out, err = run_cli("simulate", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert protocol in err
+    assert "single conversion plans" in err

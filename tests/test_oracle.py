@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from majlat import config
 from majlat.ladder import ratio_ladder
 from majlat.oracle import (
+    RNG_ALGORITHM,
     BipartiteState,
     branch_probabilities,
     embed,
@@ -12,7 +16,18 @@ from majlat.oracle import (
     run_plan,
     schmidt_spectrum,
 )
-from majlat.protocols import apply_two_outcome, kraus_diagonals, plan_thrifty, plan_vidal
+from majlat.protocols import (
+    ConversionPlan,
+    KrausDiagonals,
+    PlanStep,
+    StepKind,
+    apply_two_outcome,
+    kraus_diagonals,
+    plan_greedy,
+    plan_thrifty,
+    plan_vidal,
+    validate_plan,
+)
 from majlat.sampling import random_incomparable_pairs
 from majlat.schmidt import canonicalize
 from majlat.sweep import run_sweep
@@ -161,3 +176,128 @@ def test_numpy_integer_seeds_are_reported(worked_pair):
     assert report.to_dict()["seed"] == 3
     assert type(report.seed) is int
     assert run_plan(plan_thrifty(*worked_pair), shots=10, seed=np.random.default_rng(3)).seed is None
+
+
+def per_shot_run_plan(plan, shots, seed=None):
+    """Reference Monte Carlo: one scalar draw per probabilistic step reached, one shot at a time."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    validate_plan(plan)
+    records = []
+    state = embed(plan.steps[0].from_state)
+    for step in plan.steps:
+        if step.kind is StepKind.DETERMINISTIC:
+            state = embed(step.to_state)
+            continue
+        p_m, p_n = branch_probabilities(state, step.kraus)
+        failure_spec = None
+        if p_n > config.get_epsilon():
+            post = np.diag(step.kraus.n_diag) @ state.amplitudes / np.sqrt(p_n)
+            failure_spec = schmidt_spectrum(BipartiteState(post))
+        records.append((p_m, failure_spec))
+        if p_m <= config.get_epsilon():
+            break
+        post = np.diag(step.kraus.m_diag) @ state.amplitudes / np.sqrt(p_m)
+        state = embed(schmidt_spectrum(BipartiteState(post)))
+    rng = np.random.default_rng(seed)
+    successes, failures, residual_sum = 0, 0, None
+    for _ in range(shots):
+        failed_spec = None
+        for p_success, failure_spec in records:
+            if rng.random() >= p_success:
+                failed_spec = failure_spec
+                break
+        if failed_spec is None:
+            successes += 1
+        else:
+            failures += 1
+            arr = failed_spec.as_array()
+            if residual_sum is None:
+                residual_sum = arr.copy()
+            else:
+                residual_sum += arr
+    residual_mean = None
+    if failures:
+        residual_mean = [float(x) for x in residual_sum / failures]
+    return {"shots": shots, "successes": successes, "empirical_rate": successes / shots,
+            "residual_mean": residual_mean,
+            "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
+            "rng_algorithm": RNG_ALGORITHM}
+
+
+BLOCK = 8192  # draws per block in run_plan
+SHOT_COUNTS = (1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 15_000)
+
+
+def _chain(*plans):
+    """One plan that runs the steps of ``plans`` one after another."""
+    steps = tuple(s for plan in plans for s in plan.steps)
+    return ConversionPlan("chain", steps, float(np.prod([plan.success_prob for plan in plans])))
+
+
+def _assert_same_as_reference(plan, shots, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert run_plan(plan, shots, seed=ours).to_dict() == per_shot_run_plan(plan, shots, theirs)
+    assert ours.random() == theirs.random()  # both drew the same number of uniforms
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 64, 512])
+def test_run_plan_is_identical_to_the_per_shot_reference(dim):
+    rng = np.random.default_rng(1000 + dim)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
+    for planner in (plan_vidal, plan_greedy, plan_thrifty):
+        plan = planner(p, q)
+        for shots in SHOT_COUNTS:
+            _assert_same_as_reference(plan, shots, int(rng.integers(2**31)))
+
+
+def test_run_plan_matches_the_reference_on_hand_built_plans(worked_pair):
+    p, q = worked_pair
+    for shots in SHOT_COUNTS:
+        _assert_same_as_reference(plan_vidal(p, canonicalize([0.7, 0.2, 0.1])), shots, shots)
+        _assert_same_as_reference(_chain(plan_vidal(p, q), plan_vidal(q, p)), shots, shots)
+    rng = np.random.default_rng(8)
+    for dim in (3, 8, 64):
+        p, q = random_incomparable_pairs(dim, 1, rng)[0]
+        for shots in SHOT_COUNTS:
+            _assert_same_as_reference(_chain(plan_vidal(p, q), plan_vidal(q, p)), shots, shots)
+
+
+def test_run_plan_counts_a_failure_of_probability_below_epsilon_as_success(worked_pair):
+    p, q = worked_pair
+    vidal = plan_vidal(p, q)
+    config.set_epsilon(0.1)
+    n_diag = np.full(3, 0.3)  # failure probability 0.09 <= epsilon: no failure branch
+    kraus = KrausDiagonals(tuple(np.sqrt(1.0 - n_diag**2)), tuple(n_diag))
+    step = PlanStep(StepKind.PROBABILISTIC, "a", p, "b", p, kraus, 0.91)
+    assert run_plan(ConversionPlan("h", (step,), 0.91), 2_000, seed=4).successes == 2_000
+    for shots in SHOT_COUNTS:
+        _assert_same_as_reference(ConversionPlan("h", (step,), 0.91), shots, shots)
+        _assert_same_as_reference(_chain(ConversionPlan("h", (step,), 0.91), vidal), shots, shots)
+
+
+def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):
+    """A deterministic step may pad the state; the reference cannot add the
+    3- and 4-entry failure spectra, run_plan reports their padded mean."""
+    p, q = worked_pair
+    q4, r4 = q.padded(4), canonicalize([0.55, 0.35, 0.1, 0.0])
+    pad = PlanStep(StepKind.DETERMINISTIC, "q", q, "q4", q4)
+    plan = _chain(plan_vidal(p, q), ConversionPlan("pad", (pad,), 1.0), plan_vidal(q4, r4))
+    _assert_same_as_reference(plan, 1, 1)  # one shot fails at the first step only
+    with pytest.raises(ValueError):
+        per_shot_run_plan(plan, 100, 1)
+    stats = run_plan(plan, 100, seed=1)
+    assert len(stats.residual_mean) == 4
+    assert sum(stats.residual_mean) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_plan_memory_does_not_grow_with_shots():
+    p, q = random_incomparable_pairs(64, 1, np.random.default_rng(64))[0]
+    plan = plan_thrifty(p, q)
+    tracemalloc.start()
+    try:
+        run_plan(plan, 10**6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
