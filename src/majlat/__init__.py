@@ -31,7 +31,6 @@ from .oracle import (
     OutcomeStats,
     branch_probabilities,
     embed,
-    measure,
     run_plan,
     schmidt_spectrum,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "join_many",
     "kraus_diagonals",
     "least_concave_majorant",
-    "measure",
     "meet",
     "meet_many",
     "monotones",

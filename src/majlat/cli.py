@@ -16,8 +16,9 @@ import argparse
 import csv
 import io
 import json
-import sys
 import math
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,16 @@ PLAN_BUILDERS = {
     "greedy": plan_greedy,
     "thrifty": plan_thrifty,
 }
+_MULTI_PROTOCOLS = ("multi-target", "multi-source")
+
+
+class _Result(NamedTuple):
+    """What a subcommand returns; ``dot`` is the digraph (``plan`` only)."""
+
+    payload: dict
+    rows: list
+    code: int = 0
+    dot: str | None = None
 
 
 def _positive_int(text: str) -> int:
@@ -58,7 +69,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common_parent() -> argparse.ArgumentParser:
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
                         help="global comparison tolerance (default 1e-9)")
@@ -68,11 +86,6 @@ def _common_parent() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, help="output format (default json)")
     parent.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the result to a file instead of stdout")
-    return parent
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parent = _common_parent()
     parser = argparse.ArgumentParser(
         prog="majlat",
         description="Majorization-lattice toolkit for bipartite pure-state conversion.",
@@ -80,33 +93,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def vector_command(name: str, help_text: str, nargs: str = "*"):
+    def command(name: str, run, help_text: str):
         sp = sub.add_parser(name, parents=[parent], help=help_text)
-        sp.add_argument("vectors", nargs=nargs,
+        sp.set_defaults(run=run)
+        return sp
+
+    def vector_command(name: str, run, help_text: str):
+        sp = command(name, run, help_text)
+        sp.add_argument("vectors", nargs="*",
                         help="inline JSON arrays, or names when --file is given")
         sp.add_argument("--file", help="instance file with named vectors/pairs/collections")
         sp.add_argument("--pair", help="pair name from the instance file")
         return sp
 
-    vector_command("compare", "majorization order of two vectors")
-    vector_command("meet", "greatest lower bound (optimal common resource)")
-    vector_command("join", "least upper bound (optimal common product)")
-    vector_command("pmax", "optimal conversion probability source -> target")
-    vector_command("ladder", "monotone ratio ladder source -> target")
+    vector_command("compare", _cmd_compare, "majorization order of two vectors")
+    vector_command("meet", _cmd_meet, "greatest lower bound (optimal common resource)")
+    vector_command("join", _cmd_join, "least upper bound (optimal common product)")
+    vector_command("pmax", _cmd_pmax, "optimal conversion probability source -> target")
+    vector_command("ladder", _cmd_ladder, "monotone ratio ladder source -> target")
 
-    sp = vector_command("plan", "build a conversion plan")
+    sp = vector_command("plan", _cmd_plan, "build a conversion plan")
     sp.add_argument("--collection", help="collection name from the instance file")
     sp.add_argument("--dot", action="store_true", help="emit a DOT digraph")
 
-    sp = sub.add_parser("sweep", parents=[parent],
-                        help="check properties on random instances")
+    sp = command("sweep", _cmd_sweep, "check properties on random instances")
     sp.add_argument("--dim", type=int, default=4)
     sp.add_argument("--count", type=_positive_int, default=1000)
     sp.add_argument("--properties",
                     help="comma-separated list (default: all); see README for names")
 
-    sp = sub.add_parser("simulate", parents=[parent],
-                        help="Monte Carlo execution of a plan")
+    sp = command("simulate", _cmd_simulate, "Monte Carlo execution of a plan")
     sp.add_argument("plan_args", nargs="*",
                     help="PROTOCOL SOURCE TARGET, or nothing with --plan FILE")
     sp.add_argument("--plan", help="plan JSON file emitted by the plan subcommand")
@@ -114,11 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pair", help="pair name from the instance file")
     sp.add_argument("--shots", type=_positive_int, default=10_000)
 
-    sp = sub.add_parser("random", parents=[parent],
-                        help="generate a random instance file")
+    sp = command("random", _cmd_random, "generate a random instance file")
     sp.add_argument("--dim", type=int, default=4)
     sp.add_argument("--count", type=_positive_int, default=4)
-    sp.add_argument("--pairs", type=int, default=0,
+    sp.add_argument("--pairs", type=_non_negative_int, default=0,
                     help="also generate this many incomparable pairs (dim >= 3)")
 
     return parser
@@ -175,33 +190,34 @@ def _resolve_inputs(args, want: int | None = 2) -> list[ProbVec]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: return (payload dict, exit code, optional dot text)
+# subcommands: each returns a _Result; library functions are looked up at
+# call time, so a wrapper installed on the module (or in PLAN_BUILDERS) sees them
 
 def _cmd_compare(args):
-    p, q = _resolve_inputs(args)
-    return {"order": compare(p, q).value}, 0, None
+    order = compare(*_resolve_inputs(args)).value
+    return _Result({"order": order}, [["order"], [order]])
+
+
+def _bound_result(name: str, bound: ProbVec) -> _Result:
+    entries = list(bound.entries)
+    return _Result({name: entries, "cumulative_sums": list(cumulative_sums(bound))}, [entries])
 
 
 def _cmd_meet(args):
-    p, q = _resolve_inputs(args)
-    m = meet(p, q)
-    return {"meet": list(m.entries), "cumulative_sums": list(cumulative_sums(m))}, 0, None
+    return _bound_result("meet", meet(*_resolve_inputs(args)))
 
 
 def _cmd_join(args):
-    p, q = _resolve_inputs(args)
-    j = join(p, q)
-    return {"join": list(j.entries), "cumulative_sums": list(cumulative_sums(j))}, 0, None
+    return _bound_result("join", join(*_resolve_inputs(args)))
 
 
 def _cmd_pmax(args):
-    source, target = _resolve_inputs(args)
-    return {"p_max": p_max(source, target)}, 0, None
+    value = p_max(*_resolve_inputs(args))
+    return _Result({"p_max": value}, [["p_max"], [value]])
 
 
 def _cmd_ladder(args):
-    source, target = _resolve_inputs(args)
-    ladder = ratio_ladder(source, target)
+    ladder = ratio_ladder(*_resolve_inputs(args))
     payload = {
         "k": ladder.k,
         "ratios": list(ladder.ratios),
@@ -209,27 +225,43 @@ def _cmd_ladder(args):
         "l0": ladder.l0,
         "r_vector": list(r_vector(ladder)),
     }
-    return payload, 0, None
+    rows = [["j", "ratio", "index"]]
+    rows += [[j + 1, r, l] for j, (r, l) in enumerate(zip(ladder.ratios, ladder.indices))]
+    return _Result(payload, rows)
+
+
+def _planner(protocol: str, also: tuple[str, ...] = ()):
+    """The vidal/greedy/thrifty planner named ``protocol``; the error lists ``also`` too."""
+    if protocol not in PLAN_BUILDERS:
+        known = sorted(PLAN_BUILDERS) + list(also)
+        raise ValueError(f"unknown protocol {protocol!r}; choose from {known}")
+    return PLAN_BUILDERS[protocol]
+
+
+def _plan_result(doc: dict, dot: str) -> _Result:
+    steps = doc.get("steps")
+    if steps is None:  # multi plans
+        steps = doc.get("heads", []) + doc["core"]["steps"] + doc.get("tails", [])
+    rows = [["step", "kind", "from", "to", "success_prob"]]
+    rows += [[i, step["kind"], step["from"]["name"], step["to"]["name"],
+              step.get("success_prob", "")] for i, step in enumerate(steps)]
+    return _Result(doc, rows, dot=dot)
 
 
 def _cmd_plan(args):
     if not args.vectors:
         raise ValueError("plan needs a protocol, then vectors or --pair / --collection")
     protocol, *args.vectors = args.vectors
-    known = sorted(PLAN_BUILDERS) + ["multi-target", "multi-source"]
-    if protocol not in known:
-        raise ValueError(f"unknown protocol {protocol!r}; choose from {known}")
-
-    if protocol in PLAN_BUILDERS:
-        source, target = _resolve_inputs(args)
-        plan = PLAN_BUILDERS[protocol](source, target)
-        return plan_to_dict(plan), 0, plan_to_dot(plan)
+    if protocol not in _MULTI_PROTOCOLS:
+        build = _planner(protocol, also=_MULTI_PROTOCOLS)
+        plan = build(*_resolve_inputs(args))
+        return _plan_result(plan_to_dict(plan), plan_to_dot(plan))
     vecs = _resolve_inputs(args, want=None)
     if protocol == "multi-target":
         plan = plan_multi_target(vecs[0], vecs[1:])
-        return multi_target_to_dict(plan), 0, multi_target_to_dot(plan)
+        return _plan_result(multi_target_to_dict(plan), multi_target_to_dot(plan))
     plan = plan_multi_source(vecs[:-1], vecs[-1])
-    return multi_source_to_dict(plan), 0, multi_source_to_dot(plan)
+    return _plan_result(multi_source_to_dict(plan), multi_source_to_dot(plan))
 
 
 def _cmd_sweep(args):
@@ -240,7 +272,11 @@ def _cmd_sweep(args):
         properties = [name.strip() for name in args.properties.split(",") if name.strip()]
     report = run_sweep(args.dim, args.count, seed=getattr(args, "seed", None),
                        properties=properties)
-    return report.to_dict(), 0 if report.total_failures == 0 else 1, None
+    payload = report.to_dict()
+    rows = [["property", "applicable", "passed", "failed", "worst_slack"]]
+    rows += [[p["name"], p["applicable"], p["passed"], p["failed"], p["worst_slack"]]
+             for p in payload["properties"]]
+    return _Result(payload, rows, 0 if report.total_failures == 0 else 1)
 
 
 def _cmd_simulate(args):
@@ -251,17 +287,15 @@ def _cmd_simulate(args):
         if not args.plan_args:
             raise ValueError("simulate needs PROTOCOL SOURCE TARGET or --plan FILE")
         protocol, *args.vectors = args.plan_args
-        if protocol not in PLAN_BUILDERS:
-            raise ValueError(f"unknown protocol {protocol!r}; choose from {sorted(PLAN_BUILDERS)}")
-        source, target = _resolve_inputs(args)
-        plan = PLAN_BUILDERS[protocol](source, target)
-    seed = getattr(args, "seed", None)
-    stats = run_plan(plan, shots=args.shots, seed=seed)
+        build = _planner(protocol)
+        plan = build(*_resolve_inputs(args))
+    stats = run_plan(plan, shots=args.shots, seed=getattr(args, "seed", None))
     rate = stats.empirical_rate
     payload = stats.to_dict()
     payload["half_width"] = 4.0 * math.sqrt(max(rate * (1.0 - rate), 0.0) / stats.shots)
     payload["plan_success_prob"] = plan.success_prob
-    return payload, 0, None
+    keys = ["shots", "successes", "empirical_rate", "half_width", "plan_success_prob"]
+    return _Result(payload, [keys, [payload[k] for k in keys]])
 
 
 def _cmd_random(args):
@@ -279,73 +313,20 @@ def _cmd_random(args):
             vectors[f"p{i}b"] = list(q.entries)
             pairs[f"pair{i}"] = [f"p{i}a", f"p{i}b"]
         payload["pairs"] = pairs
-    return payload, 0, None
-
-
-COMMANDS = {
-    "compare": _cmd_compare,
-    "meet": _cmd_meet,
-    "join": _cmd_join,
-    "pmax": _cmd_pmax,
-    "ladder": _cmd_ladder,
-    "plan": _cmd_plan,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "random": _cmd_random,
-}
+    rows = [["name"] + [f"x{i}" for i in range(args.dim)]]
+    rows += [[name] + entries for name, entries in vectors.items()]
+    return _Result(payload, rows)
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# entry point
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def render_csv(command: str, payload: dict) -> str:
-    if command == "compare":
-        return _csv_text([["order"], [payload["order"]]])
-    if command in ("meet", "join"):
-        return _csv_text([payload[command]])
-    if command == "pmax":
-        return _csv_text([["p_max"], [payload["p_max"]]])
-    if command == "ladder":
-        rows = [["j", "ratio", "index"]]
-        rows += [[j + 1, r, l] for j, (r, l) in
-                 enumerate(zip(payload["ratios"], payload["indices"]))]
-        return _csv_text(rows)
-    if command == "plan":
-        rows = [["step", "kind", "from", "to", "success_prob"]]
-        steps = payload.get("steps")
-        if steps is None:  # multi plans
-            steps = payload.get("heads", []) + payload["core"]["steps"] + payload.get("tails", [])
-        for i, step in enumerate(steps):
-            rows.append([i, step["kind"], step["from"]["name"], step["to"]["name"],
-                         step.get("success_prob", "")])
-        return _csv_text(rows)
-    if command == "sweep":
-        rows = [["property", "applicable", "passed", "failed", "worst_slack"]]
-        rows += [[p["name"], p["applicable"], p["passed"], p["failed"], p["worst_slack"]]
-                 for p in payload["properties"]]
-        return _csv_text(rows)
-    if command == "simulate":
-        keys = ["shots", "successes", "empirical_rate", "half_width", "plan_success_prob"]
-        return _csv_text([keys, [payload[k] for k in keys]])
-    if command == "random":
-        rows = [["name"] + [f"x{i}" for i in range(payload["dim"])]]
-        rows += [[name] + entries for name, entries in payload["vectors"].items()]
-        return _csv_text(rows)
-    raise ValueError(f"no CSV rendering for {command}")
+_PARSER = build_parser()  # once per process: building it costs more than most requests
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -357,20 +338,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    epsilon = getattr(args, "epsilon", None)
-    if epsilon is not None:
-        try:
-            config.set_epsilon(epsilon)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    out_format = getattr(args, "format", None) or "json"
-    if getattr(args, "dot", False):
-        out_format = "dot"
-
     try:
-        payload, code, dot_text = COMMANDS[args.command](args)
+        if hasattr(args, "epsilon"):
+            config.set_epsilon(args.epsilon)
+        result = args.run(args)
     except MajlatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -378,20 +349,18 @@ def _run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out_format = "dot" if getattr(args, "dot", False) else getattr(args, "format", "json")
     if out_format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(result.payload, indent=2) + "\n"
     elif out_format == "csv":
-        try:
-            text = render_csv(args.command, payload)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(result.rows)
+        text = buf.getvalue()
+    elif result.dot is None:
+        print("error: dot output is only available for the plan subcommand", file=sys.stderr)
+        return 2
     else:
-        if dot_text is None:
-            print("error: dot output is only available for the plan subcommand",
-                  file=sys.stderr)
-            return 2
-        text = dot_text
+        text = result.dot
 
     output = getattr(args, "output", None)
     if output:
@@ -399,7 +368,7 @@ def _run(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return code
+    return result.code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import get_epsilon
-from .errors import DegenerateBranch
 from .protocols import ConversionPlan, KrausDiagonals, StepKind, validate_plan
 from .schmidt import ProbVec
 
@@ -46,13 +45,6 @@ class BipartiteState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    outcome: str  # "success" or "failure"
-    post: BipartiteState
-    probabilities: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -109,20 +101,6 @@ def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[
     p_m = float(np.linalg.norm(np.diag(kraus.m_diag) @ a) ** 2)
     p_n = float(np.linalg.norm(np.diag(kraus.n_diag) @ a) ** 2)
     return p_m, p_n
-
-
-def measure(state: BipartiteState, kraus: KrausDiagonals, rng) -> MeasureResult:
-    """Sample one two-outcome measurement; ``rng`` is a seed or Generator."""
-    rng = np.random.default_rng(rng)
-    p_m, p_n = branch_probabilities(state, kraus)
-    if rng.random() < p_m:
-        operator, prob, outcome = np.diag(kraus.m_diag), p_m, "success"
-    else:
-        operator, prob, outcome = np.diag(kraus.n_diag), p_n, "failure"
-    if prob <= 0.0:
-        raise DegenerateBranch(f"sampled {outcome} branch has zero probability")
-    post = operator @ state.amplitudes / np.sqrt(prob)
-    return MeasureResult(outcome, BipartiteState(post), (p_m, p_n))
 
 
 def _walk_plan(plan: ConversionPlan):

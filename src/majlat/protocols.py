@@ -306,7 +306,8 @@ def validate_plan(plan: ConversionPlan) -> None:
         name = f"{step.from_name}->{step.to_name}"
         for state in (step.from_state, step.to_state):
             arr = state.as_array()
-            if not (abs(arr.sum() - 1.0) <= eps and np.all(np.diff(arr) <= eps)):
+            if not (abs(arr.sum() - 1.0) <= eps and np.diff(arr).max(initial=0.0) <= eps
+                    and arr.min() >= -eps):
                 raise ValueError(f"non-canonical state in step {name}")
         if step.kind is StepKind.DETERMINISTIC:
             if compare(step.from_state, step.to_state) not in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):

@@ -13,12 +13,6 @@ import numpy as np
 from .schmidt import ProbVec
 
 
-def random_prob_vec(dim: int, rng) -> ProbVec:
-    rng = np.random.default_rng(rng)
-    arr = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
-    return ProbVec(tuple(float(x) for x in arr))
-
-
 def random_prob_vecs(dim: int, count: int, rng) -> list[ProbVec]:
     rng = np.random.default_rng(rng)
     batch = rng.dirichlet(np.ones(dim), size=count)

@@ -29,7 +29,7 @@ from .protocols import (
     step_monotone_slack,
 )
 from .sampling import (
-    random_prob_vec,
+    random_prob_vecs,
     random_tied_majorization,
     robin_hood_transfer,
     sharpening_transfer,
@@ -136,7 +136,7 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
     weak = (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
     below = robin_hood_transfer(m, rng, steps=2)
     above = sharpening_transfer(j, rng, steps=2)
-    probe = random_prob_vec(p.dim, rng)
+    probe = random_prob_vecs(p.dim, 1, rng)[0]
     for lower, upper, premise in (
         (below, m, all(compare(below, v) in weak for v in (p, q))),
         (j, above, all(compare(v, above) in weak for v in (p, q))),
@@ -149,7 +149,7 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
             ok = ok and wit >= MARGIN_FLOOR
 
     # fold-order independence on a random triple
-    extra = random_prob_vec(p.dim, rng)
+    extra = random_prob_vecs(p.dim, 1, rng)[0]
     triple = [p, q, extra]
     order = rng.permutation(3)
     shuffled = [triple[i] for i in order]
@@ -246,8 +246,8 @@ def _check_oracle_match(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | Non
 
 def _multi_state(p: ProbVec, q: ProbVec, rng):
     extra = int(rng.integers(1, 4))
-    targets = [q] + [random_prob_vec(p.dim, rng) for _ in range(extra)]
-    sources = [p] + [random_prob_vec(p.dim, rng) for _ in range(extra)]
+    targets = [q] + random_prob_vecs(p.dim, extra, rng)
+    sources = [p] + random_prob_vecs(p.dim, extra, rng)
     return _check_multi_state(p, targets, sources, q)
 
 
@@ -303,8 +303,7 @@ def run_sweep(dim: int, count: int, seed=None, properties=None) -> SweepReport:
     rng = np.random.default_rng(seed)
     outcomes = {name: PropertyOutcome(name) for name in names}
     for _ in range(count):
-        p = random_prob_vec(dim, rng)
-        q = random_prob_vec(dim, rng)
+        p, q = random_prob_vecs(dim, 2, rng)
         incomparable = compare(p, q) is MajOrder.INCOMPARABLE
         for name in names:
             needs_incomparable, checker = CHECKERS[name]

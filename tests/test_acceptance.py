@@ -25,7 +25,6 @@ from majlat.oracle import run_plan
 from majlat.protocols import kraus_diagonals, plan_thrifty, plan_vidal
 from majlat.sampling import (
     random_incomparable_pairs,
-    random_prob_vec,
     random_prob_vecs,
     random_tied_majorization,
 )
@@ -179,7 +178,7 @@ def test_criterion_4_monotone_max_and_hadamard():
     with criterion(4, "meet monotones are pointwise max (1e-12); weighted order preserved (1e4 each)"):
         rng = np.random.default_rng(SEED + 1)
         lemma1 = tally("meet-monotones", (
-            _check_meet_monotones(random_prob_vec(2 + i % 7, rng), random_prob_vec(2 + i % 7, rng))
+            _check_meet_monotones(*random_prob_vecs(2 + i % 7, 2, rng))
             for i in range(10_000)
         ))
         lemma2 = tally("hadamard-order", (
@@ -193,10 +192,8 @@ def multi_state_instances(rng):
     for i in range(1_000):
         d = 3 + i % 4
         m = 2 + i % 3
-        source = random_prob_vec(d, rng)
-        targets = random_prob_vecs(d, m, rng)
-        sources = random_prob_vecs(d, m, rng)
-        target = random_prob_vec(d, rng)
+        source, *targets = random_prob_vecs(d, 1 + m, rng)
+        *sources, target = random_prob_vecs(d, m + 1, rng)
         yield source, targets, sources, target
 
 

@@ -110,6 +110,20 @@ def test_exit_code_usage_error():
     assert code == 2
     code, _, _ = run_cli("sweep", "--dim", "1")
     assert code == 2
+    code, out, _ = run_cli("random", "--dim", "3", "--pairs", "-2")
+    assert code == 2
+    assert out == ""
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    import majlat.cli
+
+    def rebuilt():
+        raise AssertionError("main() rebuilt the parser")
+
+    monkeypatch.setattr(majlat.cli, "build_parser", rebuilt)
+    assert run_json("pmax", PSI, PHI)["p_max"] == pytest.approx(0.5, abs=1e-9)
+    assert run_json("compare", PSI, PHI) == {"order": "incomparable"}
 
 
 def test_rank_deficit_exit_code():
@@ -357,6 +371,20 @@ def test_non_finite_epsilon_is_usage_error(argv):
 def test_set_epsilon_rejects_non_finite_and_non_positive_values(eps):
     with pytest.raises(ValueError):
         config.set_epsilon(eps)
+
+
+def test_simulate_rejects_a_plan_file_with_negative_entries(tmp_path):
+    # sums, order and the deterministic step's direction all pass; -0.2 does not
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"protocol": "vidal", "success_prob": 1.0, "steps": [{
+        "kind": "deterministic",
+        "from": {"name": "source", "state": [0.6, 0.6, -0.2]},
+        "to": {"name": "target", "state": [1.1, 0.1, -0.2]},
+    }]}))
+    code, out, err = run_cli("simulate", "--plan", str(path), "--shots", "10")
+    assert code == 2
+    assert out == ""
+    assert "non-canonical" in err
 
 
 @pytest.mark.parametrize("protocol", ["multi-target", "multi-source"])

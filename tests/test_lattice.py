@@ -12,7 +12,7 @@ from majlat.lattice import (
     meet,
     meet_many,
 )
-from majlat.sampling import random_prob_vec, robin_hood_transfer, sharpening_transfer
+from majlat.sampling import random_prob_vecs, robin_hood_transfer, sharpening_transfer
 from majlat.schmidt import MajOrder, canonicalize, compare, majorizes_margin, uniform
 
 from conftest import prob_vec_pairs, prob_vecs, rngs
@@ -104,7 +104,7 @@ def test_meet_is_greater_than_common_lower_bounds(pair, rng):
     witness = robin_hood_transfer(m, rng, steps=3)
     assert compare(witness, p) in BOUNDED and compare(witness, q) in BOUNDED
     assert compare(witness, m) in BOUNDED
-    probe = random_prob_vec(p.dim, rng)
+    probe = random_prob_vecs(p.dim, 1, rng)[0]
     if compare(probe, p) in BOUNDED and compare(probe, q) in BOUNDED:
         assert compare(probe, m) in BOUNDED
 
@@ -117,7 +117,7 @@ def test_join_is_less_than_common_upper_bounds(pair, rng):
     witness = sharpening_transfer(j, rng, steps=3)
     assert compare(p, witness) in BOUNDED and compare(q, witness) in BOUNDED
     assert compare(j, witness) in BOUNDED
-    probe = random_prob_vec(p.dim, rng)
+    probe = random_prob_vecs(p.dim, 1, rng)[0]
     if compare(p, probe) in BOUNDED and compare(q, probe) in BOUNDED:
         assert compare(j, probe) in BOUNDED
 

@@ -12,7 +12,6 @@ from majlat.oracle import (
     BipartiteState,
     branch_probabilities,
     embed,
-    measure,
     run_plan,
     schmidt_spectrum,
 )
@@ -74,43 +73,27 @@ class TestSchmidtSpectrum:
             BipartiteState(np.ones((2, 3)))
 
 
-class TestMeasure:
+class TestBranchProbabilities:
     def test_worked_pair_probabilities(self, worked_pair):
         p, q = worked_pair
         kraus = kraus_diagonals(ratio_ladder(p, q))
         state = embed(canonicalize([0.675, 0.225, 0.1]))
-        result = measure(state, kraus, rng=0)
-        assert result.probabilities[0] == pytest.approx(0.5, **APPROX)
-        assert result.probabilities[1] == pytest.approx(0.5, **APPROX)
+        assert branch_probabilities(state, kraus) == pytest.approx((0.5, 0.5), **APPROX)
 
     def test_identity_kraus_always_succeeds(self, worked_pair):
         p, _ = worked_pair
         kraus = kraus_diagonals(ratio_ladder(p, p))
-        result = measure(embed(p), kraus, rng=1)
-        assert result.outcome == "success"
-        assert result.probabilities[0] == pytest.approx(1.0, abs=1e-15)
+        assert branch_probabilities(embed(p), kraus)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_failure_branch_spectrum(self, worked_pair):
         p, q = worked_pair
         kraus = kraus_diagonals(ratio_ladder(p, q))
         state = embed(canonicalize([0.675, 0.225, 0.1]))
-        rng = np.random.default_rng(0)
-        while True:  # sample until the failure branch comes up
-            result = measure(state, kraus, rng)
-            if result.outcome == "failure":
-                break
-        assert schmidt_spectrum(result.post).entries == pytest.approx(
+        _, p_n = branch_probabilities(state, kraus)
+        post = np.diag(kraus.n_diag) @ state.amplitudes / np.sqrt(p_n)
+        assert schmidt_spectrum(BipartiteState(post)).entries == pytest.approx(
             (0.75, 0.25, 0.0), **APPROX
         )
-
-    def test_seeded_determinism(self, worked_pair):
-        p, q = worked_pair
-        kraus = kraus_diagonals(ratio_ladder(p, q))
-        state = embed(canonicalize([0.675, 0.225, 0.1]))
-        first = measure(state, kraus, rng=33)
-        second = measure(state, kraus, rng=33)
-        assert first.outcome == second.outcome
-        assert first.post.amplitudes == pytest.approx(second.post.amplitudes)
 
 
 @given(st.integers(3, 8), rngs())

@@ -30,7 +30,7 @@ from majlat.protocols import (
     step_monotone_slack,
     validate_plan,
 )
-from majlat.sampling import random_incomparable_pairs, random_prob_vec
+from majlat.sampling import random_incomparable_pairs, random_prob_vecs
 from majlat.schmidt import (
     MajOrder,
     canonicalize,
@@ -212,8 +212,7 @@ class TestMultiTarget:
 
     @given(st.integers(3, 6), st.integers(2, 4), rngs())
     def test_probability_is_worst_case(self, dim, m, rng):
-        source = random_prob_vec(dim, rng)
-        targets = [random_prob_vec(dim, rng) for _ in range(m)]
+        source, *targets = random_prob_vecs(dim, 1 + m, rng)
         plan = plan_multi_target(source, targets)
         expected = min(p_max(source, t) for t in targets)
         assert plan.success_prob == pytest.approx(expected, abs=1e-12)
@@ -239,8 +238,7 @@ class TestMultiSource:
 
     @given(st.integers(3, 6), st.integers(2, 4), rngs())
     def test_probability_is_worst_case(self, dim, m, rng):
-        sources = [random_prob_vec(dim, rng) for _ in range(m)]
-        target = random_prob_vec(dim, rng)
+        *sources, target = random_prob_vecs(dim, m + 1, rng)
         plan = plan_multi_source(sources, target)
         expected = min(p_max(s, target) for s in sources)
         assert plan.success_prob == pytest.approx(expected, abs=1e-12)
@@ -346,6 +344,17 @@ def test_validate_plan_rejects_bad_deterministic_step(worked_pair):
     )
     with pytest.raises(ValueError):
         validate_plan(broken)
+
+
+def test_validate_plan_rejects_negative_entries():
+    # both states sum to 1, are sorted, and the step climbs the order
+    doc = {"protocol": "vidal", "success_prob": 1.0, "steps": [{
+        "kind": "deterministic",
+        "from": {"name": "source", "state": [0.6, 0.6, -0.2]},
+        "to": {"name": "target", "state": [1.1, 0.1, -0.2]},
+    }]}
+    with pytest.raises(ValueError, match="non-canonical"):
+        validate_plan(plan_from_dict(doc))
 
 
 def test_validate_plan_rejects_an_empty_plan(worked_pair):
