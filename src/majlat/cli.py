@@ -62,18 +62,23 @@ class _Result(NamedTuple):
     dot: str | None = None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+def _int_at_least(text: str, low: int, kind: str) -> int:
+    # argparse names the type function in a ValueError's message, so raise its own error
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+    return _int_at_least(text, 0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,6 +343,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    out_format = "dot" if getattr(args, "dot", False) else getattr(args, "format", "json")
+    if out_format == "dot" and args.command != "plan":
+        print("error: dot output is only available for the plan subcommand", file=sys.stderr)
+        return 2
     try:
         if hasattr(args, "epsilon"):
             config.set_epsilon(args.epsilon)
@@ -349,16 +358,12 @@ def _run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_format = "dot" if getattr(args, "dot", False) else getattr(args, "format", "json")
     if out_format == "json":
         text = json.dumps(result.payload, indent=2) + "\n"
     elif out_format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(result.rows)
         text = buf.getvalue()
-    elif result.dot is None:
-        print("error: dot output is only available for the plan subcommand", file=sys.stderr)
-        return 2
     else:
         text = result.dot
 

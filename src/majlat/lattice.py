@@ -1,16 +1,22 @@
-"""Meet and join on the majorization lattice.
+"""Meet and join on the majorization lattice, for two or more vectors.
 
 The meet's cumulative sums are the pointwise minimum of the inputs' (its
-increments are automatically sorted, because the minimum of two concave
-curves is concave).  The join takes the pointwise maximum, which in general
-is not concave, and repairs it with the least concave majorant before
-differencing.
+increments are automatically sorted, because the minimum of concave curves
+is concave).  The join takes the pointwise maximum, which in general is not
+concave, and repairs it with the least concave majorant before differencing.
 
 Both operations are evaluated in suffix-sum space: a prefix sum near 1
 carries absolute rounding of order 1e-16, which is catastrophic *relative*
 error for the tiny tail entries that conversion ratios divide by, while
 suffix sums keep the tail at full relative precision.  min/max of prefix
 sums dualize to max/min of suffix sums, so the results are identical.
+
+The n-ary operations take one pass over all k inputs, not k - 1 binary
+steps: the meet's suffix sums are the pointwise max of the k rows, and the
+join's are the greatest convex minorant of their pointwise min, because
+conv(min(conv h, g)) = conv(min(h, g)).  So one max or min and at most one
+hull serve any k, the result does not depend on the inputs' order (max and
+min commute exactly), and the binary ``meet``/``join`` are the k = 2 case.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyCollection
-from .schmidt import ProbVec, pad_pair
+from .schmidt import ProbVec
 
 
 def cumulative_sums(p: ProbVec) -> tuple[float, ...]:
@@ -67,48 +73,70 @@ def least_concave_majorant(values) -> np.ndarray:
 
 
 def _suffix_sums(entries: np.ndarray) -> np.ndarray:
-    """Suffix sums S[k] = sum of entries[k:] for k = 0..d, with S[d] = 0."""
-    s = np.zeros(entries.size + 1)
-    s[:-1] = np.cumsum(entries[::-1])[::-1]
+    """Suffix sums S[..., k] = sum of entries[..., k:] for k = 0..d, with S[..., d] = 0.
+
+    Taken along the last axis: a ``(k, d)`` stack gives ``(k, d+1)``, one row per vector.
+    """
+    s = np.zeros(entries.shape[:-1] + (entries.shape[-1] + 1,))
+    s[..., :-1] = np.cumsum(entries[..., ::-1], axis=-1)[..., ::-1]
     return s
+
+
+def _stacked_suffix_sums(vs) -> np.ndarray:
+    """``(k, d+1)`` suffix sums of the inputs, zero-padded to the largest dimension d."""
+    d = max(v.dim for v in vs)
+    rows = np.zeros((len(vs), d))
+    for i, v in enumerate(vs):
+        rows[i, : v.dim] = v.entries
+    return _suffix_sums(rows)
 
 
 def _pack(entries: np.ndarray) -> ProbVec:
     return ProbVec(tuple(float(x) for x in np.clip(entries, 0.0, None)))
 
 
-def meet(p: ProbVec, q: ProbVec) -> ProbVec:
-    """Greatest lower bound: the most ordered vector majorized by both inputs."""
-    a, b = pad_pair(p, q)
-    upper = np.maximum(_suffix_sums(a), _suffix_sums(b))
+def _meet(vs) -> ProbVec:
+    upper = np.maximum.reduce(_stacked_suffix_sums(vs))
     return _pack(upper[:-1] - upper[1:])
 
 
-def join(p: ProbVec, q: ProbVec) -> ProbVec:
-    """Least upper bound: the most disordered vector that majorizes both inputs."""
-    a, b = pad_pair(p, q)
-    lower = np.minimum(_suffix_sums(a), _suffix_sums(b))
+def _join(vs) -> ProbVec:
+    lower = np.minimum.reduce(_stacked_suffix_sums(vs))
     # greatest convex minorant, via the concave majorant of the negation
     env = -least_concave_majorant(-lower)
     return _pack(env[:-1] - env[1:])
 
 
-def _fold(op, vs) -> ProbVec:
-    vs = list(vs)
+def meet(p: ProbVec, q: ProbVec) -> ProbVec:
+    """Greatest lower bound: the most ordered vector majorized by both inputs."""
+    return _meet((p, q))
+
+
+def join(p: ProbVec, q: ProbVec) -> ProbVec:
+    """Least upper bound: the most disordered vector that majorizes both inputs."""
+    return _join((p, q))
+
+
+def _many(op, vs) -> ProbVec:
+    vs = tuple(vs)
     if not vs:
         raise EmptyCollection("need at least one vector")
-    d = max(v.dim for v in vs)
-    acc = vs[0].padded(d)
-    for v in vs[1:]:
-        acc = op(acc, v.padded(d))
-    return acc
+    return vs[0] if len(vs) == 1 else op(vs)
 
 
 def meet_many(vs) -> ProbVec:
-    """Left fold of the binary meet; order-independent by lattice associativity."""
-    return _fold(meet, vs)
+    """Common resource of all inputs: its suffix sums are the pointwise max of theirs.
+
+    One pass for any number of inputs, padded to the largest dimension; a
+    single input is returned as it is.
+    """
+    return _many(_meet, vs)
 
 
 def join_many(vs) -> ProbVec:
-    """Left fold of the binary join; order-independent by lattice associativity."""
-    return _fold(join, vs)
+    """Common product of all inputs: its suffix sums are the greatest convex
+    minorant of the pointwise min of theirs, so one hull serves any number of inputs.
+
+    Padded to the largest dimension; a single input is returned as it is.
+    """
+    return _many(_join, vs)

@@ -148,7 +148,7 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
             slacks.append(wit)
             ok = ok and wit >= MARGIN_FLOOR
 
-    # fold-order independence on a random triple
+    # n-ary order independence on a random triple: max and min commute exactly
     extra = random_prob_vecs(p.dim, 1, rng)[0]
     triple = [p, q, extra]
     order = rng.permutation(3)
@@ -160,7 +160,7 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
         np.max(np.abs(join_many(triple).as_array() - join_many(shuffled).as_array()))
     )
     slacks.append(-max(dev_meet, dev_join))
-    ok = ok and max(dev_meet, dev_join) <= EQUALITY_TOL
+    ok = ok and max(dev_meet, dev_join) == 0.0
 
     detail = None if ok else {"check": "axioms", **_desc(p, q, extra)}
     return ok, min(slacks), detail

@@ -204,7 +204,7 @@ def test_criterion_5_multi_state_probabilities():
 
 
 def test_criterion_6_lattice_axioms():
-    with criterion(6, "lattice axioms (defining props, absorption, folds), 1e4 instances"):
+    with criterion(6, "lattice axioms (defining props, absorption, n-ary order), 1e4 instances"):
         total = 0
         for d, count in ((3, 3_400), (5, 3_300), (8, 3_300)):
             report = run_sweep(d, count, seed=SEED + d, properties=["axioms"])

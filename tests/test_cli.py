@@ -115,6 +115,19 @@ def test_exit_code_usage_error():
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, option, kind, text", [
+    (("sweep", "--count", "many"), "--count", "positive", "many"),
+    (("random", "--pairs", "abc"), "--pairs", "non-negative", "abc"),
+    (("simulate", "thrifty", PSI, PHI, "--shots", "1.5"), "--shots", "positive", "1.5"),
+])
+def test_integer_options_name_no_private_function(argv, option, kind, text):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: expected a {kind} integer, got '{text}'" in err
+    assert "_int" not in err
+
+
 def test_main_reuses_one_parser(monkeypatch):
     import majlat.cli
 
@@ -248,6 +261,19 @@ def test_csv_formats():
 def test_dot_format_rejected_outside_plan():
     code, _, err = run_cli("meet", PSI, PHI, "--format", "dot")
     assert code == 2
+
+
+def test_dot_format_is_rejected_before_the_subcommand_runs(monkeypatch):
+    import majlat.cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the sweep ran before --format dot was rejected")
+
+    monkeypatch.setattr(majlat.cli, "run_sweep", ran)
+    code, out, err = run_cli("sweep", "--dim", "3", "--count", "5", "--format", "dot")
+    assert code == 2
+    assert out == ""
+    assert err == "error: dot output is only available for the plan subcommand\n"
 
 
 def test_global_epsilon_flag():

@@ -12,8 +12,13 @@ from majlat.lattice import (
     meet,
     meet_many,
 )
-from majlat.sampling import random_prob_vecs, robin_hood_transfer, sharpening_transfer
-from majlat.schmidt import MajOrder, canonicalize, compare, majorizes_margin, uniform
+from majlat.sampling import (
+    random_prob_vecs,
+    random_tied_majorization,
+    robin_hood_transfer,
+    sharpening_transfer,
+)
+from majlat.schmidt import MajOrder, ProbVec, canonicalize, compare, majorizes_margin, uniform
 
 from conftest import prob_vec_pairs, prob_vecs, rngs
 
@@ -68,6 +73,61 @@ def test_meet_many_reductions(worked_pair):
         meet_many([])
     with pytest.raises(EmptyCollection):
         join_many([])
+
+
+# --- n-ary operations against the left fold of the binary ones -------------
+
+def fold_reference(op, vs) -> ProbVec:
+    """The k - 1 binary steps that meet_many/join_many replace by one pass."""
+    vs = list(vs)
+    d = max(v.dim for v in vs)
+    acc = vs[0].padded(d)
+    for v in vs[1:]:
+        acc = op(acc, v.padded(d))
+    return acc
+
+
+def _collection(d: int, k: int, rng) -> list[ProbVec]:
+    """k seeded vectors of dimension at most d, some short, some with ties or zeros."""
+    vs = []
+    for _ in range(k):
+        dim = d if rng.random() < 0.6 else int(rng.integers(1, d + 1))
+        kind = rng.integers(3)
+        if kind == 0:
+            vs.append(random_prob_vecs(dim, 1, rng)[0])
+        elif kind == 1:  # small integer weights: repeated entries and zeros
+            counts = rng.integers(0, 4, size=dim).astype(float)
+            counts[0] += 1.0
+            vs.append(canonicalize(counts / counts.sum()))
+        else:  # block averages: ties
+            vs.append(random_tied_majorization(dim, rng)[0])
+    return vs
+
+
+NARY_DIMS = list(range(2, 11)) + [64, 512]
+
+
+@pytest.mark.parametrize("d", NARY_DIMS)
+def test_n_ary_operations_agree_with_the_fold(d):
+    rng = np.random.default_rng(1000 + d)
+    for k in range(3, 9):
+        for _ in range(6 if d <= 10 else 1):
+            vs = _collection(d, k, rng)
+            for many, op in ((meet_many, meet), (join_many, join)):
+                got, ref = many(vs), fold_reference(op, vs)
+                assert got.dim == max(v.dim for v in vs)
+                assert np.max(np.abs(got.as_array() - ref.as_array())) <= 1e-15
+
+
+@pytest.mark.parametrize("d", NARY_DIMS)
+def test_n_ary_operations_equal_the_fold_for_one_and_two_inputs(d):
+    rng = np.random.default_rng(2000 + d)
+    for _ in range(6):
+        vs = _collection(d, 2, rng)
+        assert meet_many(vs[:1]) == fold_reference(meet, vs[:1]) == vs[0]
+        assert join_many(vs[:1]) == fold_reference(join, vs[:1]) == vs[0]
+        assert meet_many(vs) == fold_reference(meet, vs) == meet(*vs)
+        assert join_many(vs) == fold_reference(join, vs) == join(*vs)
 
 
 class TestLeastConcaveMajorant:
@@ -144,8 +204,8 @@ def test_cumsum_characterization(pair):
 @given(st.lists(prob_vecs(min_dim=3, max_dim=5), min_size=2, max_size=4), rngs())
 def test_fold_order_independence(vs, rng):
     shuffled = [vs[i] for i in rng.permutation(len(vs))]
-    assert meet_many(vs).entries == pytest.approx(meet_many(shuffled).entries, abs=1e-12)
-    assert join_many(vs).entries == pytest.approx(join_many(shuffled).entries, abs=1e-12)
+    assert meet_many(vs) == meet_many(shuffled)
+    assert join_many(vs) == join_many(shuffled)
 
 
 @given(prob_vec_pairs())
