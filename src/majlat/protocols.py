@@ -22,7 +22,7 @@ from .config import get_epsilon
 from .errors import DegenerateBranch, RankDeficit
 from .lattice import _suffix_sums, join, join_many, meet, meet_many
 from .ladder import RatioLadder, _check_ranks, _intermediate, r_vector, ratio_ladder
-from .schmidt import MajOrder, ProbVec, compare, effective_rank, pad_pair
+from .schmidt import MajOrder, ProbVec, compare, effective_rank
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,35 @@ def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
     return _kraus(ladder.ratios[0], np.asarray(r_vector(ladder)))
 
 
+def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray
+                 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Born rule of a diagonal two-outcome measurement on the spectrum ``lam``.
+
+    ``m_sq`` and ``n_sq`` are the squared Kraus diagonals.  Returns the success
+    probability ``m_sq @ lam`` and each branch's spectrum as a row sorted in
+    non-increasing order, or None for a branch of probability <= epsilon.
+    """
+    if lam.size != m_sq.size:
+        raise ValueError(f"state dimension {lam.size} != Kraus dimension {m_sq.size}")
+    p = float(m_sq @ lam)
+    eps = get_epsilon()
+
+    def branch(op_sq: np.ndarray, prob: float) -> np.ndarray | None:
+        return None if prob <= eps else np.sort(op_sq * lam / prob)[::-1]
+
+    return p, branch(m_sq, p), branch(n_sq, 1.0 - p)
+
+
+def _row_vec(row: np.ndarray | None) -> ProbVec | None:
+    return None if row is None else ProbVec(tuple(row.tolist()))
+
+
 def apply_two_outcome(state: ProbVec, kraus: KrausDiagonals) -> TwoOutcomeResult:
     """Born-rule action of a diagonal two-outcome measurement on a spectrum."""
-    lam = state.as_array()
-    if lam.size != kraus.dim:
-        raise ValueError(f"state dimension {lam.size} != Kraus dimension {kraus.dim}")
-    m_sq = np.asarray(kraus.m_diag) ** 2
-    p = float(m_sq @ lam)
-
-    def branch(op_sq: np.ndarray, prob: float) -> ProbVec | None:
-        if prob <= get_epsilon():
-            return None
-        return ProbVec(tuple(np.sort(op_sq * lam / prob)[::-1].tolist()))
-
-    return TwoOutcomeResult(success_prob=p, success_state=branch(m_sq, p),
-                            failure_state=branch(np.asarray(kraus.n_diag) ** 2, 1.0 - p))
+    p, success, failure = _branch_rows(state.as_array(), np.square(kraus.m_diag),
+                                       np.square(kraus.n_diag))
+    return TwoOutcomeResult(success_prob=p, success_state=_row_vec(success),
+                            failure_state=_row_vec(failure))
 
 
 def _vidal(source: ProbVec, target: ProbVec, order: MajOrder,
@@ -283,9 +297,11 @@ def step_monotone_slack(step: PlanStep) -> float:
     return float(np.min(suffix(step.from_state) - e_avg))
 
 
-def _deviation(p: ProbVec, q: ProbVec) -> float:
-    """Largest entrywise difference of two spectra after zero padding."""
-    return float(np.max(np.abs(np.subtract(*pad_pair(p, q)))))
+def _gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entrywise difference of two rows after zero padding the shorter one."""
+    if a.size != b.size:
+        a, b = (np.pad(x, (0, max(a.size, b.size) - x.size)) for x in (a, b))
+    return float(np.abs(a - b).max())
 
 
 def validate_plan(plan: ConversionPlan) -> None:
@@ -294,23 +310,68 @@ def validate_plan(plan: ConversionPlan) -> None:
     Every probabilistic step is re-applied to its input: the claimed success
     probability, success state and failure state must match what its Kraus
     operators give.  Comparisons are written so that NaN fails them.
+
+    The from/to states of all steps are stacked into one zero-padded array,
+    and the chaining, canonical-form and majorization checks are row-wise
+    reductions over it.  The first failure is reported, in this order:
+
+    1. the plan has no steps;
+    2. a step does not end where the next one starts (first such pair);
+    3. step by step, in plan order:
+       a. a from/to state is not canonical (sum 1, sorted descending, no
+          entry below -epsilon);
+       b. a deterministic step is not a majorization move;
+       c. a probabilistic step lacks Kraus data or a probability, claims a
+          probability outside (0, 1], has Kraus diagonals that violate
+          completeness or whose length differs from its input's, or claims a
+          success probability, success state or failure state other than
+          what its Kraus operators give (checked in that order);
+    4. the plan's success probability is not the product of its steps';
+    5. the plan has a residual, and it is not the failure state of the last
+       probabilistic step (zero-padded, within epsilon) or there is no such
+       step.
     """
     eps = get_epsilon()
-    if not plan.steps:
+    steps = plan.steps
+    if not steps:
         raise ValueError("plan has no steps")
-    for step, after in zip(plan.steps, plan.steps[1:]):
-        if not _deviation(step.to_state, after.from_state) <= eps:
-            raise ValueError(f"step to {step.to_name} does not lead to step from {after.from_name}")
+    states = [s for step in steps for s in (step.from_state, step.to_state)]
+    dims = [s.dim for s in states]
+    width = max(dims)
+    rows = np.zeros((len(states), width))  # row 2i: from-state of step i, row 2i+1: its to-state
+    for r, state in enumerate(states):
+        rows[r, : state.dim] = state.entries
+    with np.errstate(all="ignore"):  # non-finite entries fail the checks, silently
+        if len(steps) > 1:
+            gaps = np.maximum.reduce(np.abs(rows[1:-1:2] - rows[2::2]), axis=1)
+            for i, ok in enumerate((gaps <= eps).tolist()):
+                if not ok:
+                    raise ValueError(f"step to {steps[i].to_name} does not lead to step from "
+                                     f"{steps[i + 1].from_name}")
+        sums = rows.sum(axis=1)
+        for r, d in enumerate(dims):
+            if d < width:  # zero padding changes numpy's pairwise sum
+                sums[r] = rows[r, :d].sum()
+        # A state is canonical when all of its excess is <= epsilon: each rise from
+        # an entry to the next, each negated entry and the sum's distance from 1.
+        excess = np.concatenate((rows[:, 1:] - rows[:, :-1], -rows, np.abs(sums - 1.0)[:, None]),
+                                axis=1)
+        canonical = (np.maximum.reduce(excess, axis=1) <= eps).tolist()
+        cums = np.cumsum(rows, axis=1)
+        margins = cums[1::2, :-1] - cums[0::2, :-1]  # column k: margin over the first k+1 entries
+        for i, pair_dim in enumerate(map(max, dims[0::2], dims[1::2])):
+            if pair_dim < width:  # a step's margins stop at its own dimension - 1
+                margins[i, pair_dim - 1:] = 0.0
+        moves_ok = (np.minimum.reduce(margins, axis=1, initial=0.0) >= -eps).tolist()
+
     prob_product = 1.0
-    for step in plan.steps:
+    failure_step = None
+    for i, step in enumerate(steps):
         name = f"{step.from_name}->{step.to_name}"
-        for state in (step.from_state, step.to_state):
-            arr = state.as_array()
-            if not (abs(arr.sum() - 1.0) <= eps and np.diff(arr).max(initial=0.0) <= eps
-                    and arr.min() >= -eps):
-                raise ValueError(f"non-canonical state in step {name}")
+        if not (canonical[2 * i] and canonical[2 * i + 1]):
+            raise ValueError(f"non-canonical state in step {name}")
         if step.kind is StepKind.DETERMINISTIC:
-            if compare(step.from_state, step.to_state) not in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
+            if not moves_ok[i]:
                 raise ValueError(f"deterministic step {name} is not allowed")
             continue
         if step.kraus is None or step.success_prob is None:
@@ -318,21 +379,30 @@ def validate_plan(plan: ConversionPlan) -> None:
         if not (0.0 < step.success_prob <= 1.0):
             raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
         m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
-        if not np.max(np.abs(m_sq + n_sq - 1.0)) <= eps:
+        if not np.abs(m_sq + n_sq - 1.0).max() <= eps:
             raise ValueError("Kraus diagonals violate completeness")
-        outcome = apply_two_outcome(step.from_state, step.kraus)
-        if not abs(outcome.success_prob - step.success_prob) <= eps:
+        p, success, failure = _branch_rows(rows[2 * i, : dims[2 * i]], m_sq, n_sq)
+        if not abs(p - step.success_prob) <= eps:
             raise ValueError(f"step {name} claims success probability {step.success_prob}, "
-                             f"its Kraus operators give {outcome.success_prob}")
-        for branch, claimed, derived in (("success", step.to_state, outcome.success_state),
-                                         ("failure", step.failure_state, outcome.failure_state)):
-            if claimed is not None and (derived is None or not _deviation(claimed, derived) <= eps):
-                given = "a branch of probability ~0" if derived is None else derived
+                             f"its Kraus operators give {p}")
+        for branch, claimed, derived in (("success", step.to_state, success),
+                                         ("failure", step.failure_state, failure)):
+            if claimed is not None and (derived is None
+                                        or not _gap(claimed.as_array(), derived) <= eps):
+                given = "a branch of probability ~0" if derived is None else _row_vec(derived)
                 raise ValueError(f"step {name} claims the {branch} state {claimed}, "
                                  f"its Kraus operators give {given}")
         prob_product *= step.success_prob
+        failure_step = step
     if not abs(plan.success_prob - prob_product) <= eps:
         raise ValueError("plan success probability != product of step probabilities")
+    if plan.residual is not None:
+        if failure_step is None:
+            raise ValueError("plan has a residual but no probabilistic step")
+        failure = failure_step.failure_state
+        if failure is None or not _gap(plan.residual.as_array(), failure.as_array()) <= eps:
+            raise ValueError(f"plan residual {plan.residual} is not the failure state of step "
+                             f"{failure_step.from_name}->{failure_step.to_name}")
 
 
 # ---------------------------------------------------------------------------

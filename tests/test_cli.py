@@ -413,6 +413,20 @@ def test_simulate_rejects_a_plan_file_with_negative_entries(tmp_path):
     assert "non-canonical" in err
 
 
+@pytest.mark.parametrize("residual", [[1.0, 0.0, 0.0], [0.3, 0.3]])
+def test_simulate_rejects_a_plan_file_whose_residual_is_not_its_failure_state(tmp_path, residual):
+    path = tmp_path / "plan.json"
+    code, _, _ = run_cli("plan", "thrifty", PSI, PHI, "--output", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["residual"] = residual
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("simulate", "--plan", str(path), "--shots", "10")
+    assert code == 2
+    assert out == ""
+    assert "is not the failure state" in err
+
+
 @pytest.mark.parametrize("protocol", ["multi-target", "multi-source"])
 def test_simulate_names_a_multi_plan_it_cannot_run(tmp_path, protocol):
     path = tmp_path / "plan.json"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from majlat.config import get_epsilon
 from majlat.errors import DegenerateBranch, RankDeficit
 from majlat.lattice import join, meet, meet_many
 from majlat.ladder import p_max, ratio_ladder
@@ -33,10 +35,12 @@ from majlat.protocols import (
 from majlat.sampling import random_incomparable_pairs, random_prob_vecs
 from majlat.schmidt import (
     MajOrder,
+    ProbVec,
     canonicalize,
     compare,
     effective_rank,
     majorizes_margin,
+    pad_pair,
 )
 
 from conftest import prob_vec_pairs, rngs
@@ -431,3 +435,301 @@ def test_planners_share_one_analysis_per_pair(monkeypatch):
     plan_thrifty(p, q)
     assert calls["rank"] <= 4
     assert calls["compare"] <= 4
+
+
+# --- validate_plan against the per-step reference ---------------------------
+
+
+def _reference_apply_two_outcome(state, kraus):
+    lam = state.as_array()
+    if lam.size != kraus.dim:
+        raise ValueError(f"state dimension {lam.size} != Kraus dimension {kraus.dim}")
+    m_sq = np.asarray(kraus.m_diag) ** 2
+    p = float(m_sq @ lam)
+
+    def branch(op_sq, prob):
+        if prob <= get_epsilon():
+            return None
+        return ProbVec(tuple(np.sort(op_sq * lam / prob)[::-1].tolist()))
+
+    return p, branch(m_sq, p), branch(np.asarray(kraus.n_diag) ** 2, 1.0 - p)
+
+
+def _reference_deviation(p, q):
+    return float(np.max(np.abs(np.subtract(*pad_pair(p, q)))))
+
+
+def reference_validate_plan(plan):
+    """validate_plan as it was before the stacked-array rewrite: one state and one
+    step at a time through compare, apply_two_outcome and pad_pair.  It does not
+    check the residual."""
+    eps = get_epsilon()
+    if not plan.steps:
+        raise ValueError("plan has no steps")
+    for step, after in zip(plan.steps, plan.steps[1:]):
+        if not _reference_deviation(step.to_state, after.from_state) <= eps:
+            raise ValueError(f"step to {step.to_name} does not lead to step from {after.from_name}")
+    prob_product = 1.0
+    for step in plan.steps:
+        name = f"{step.from_name}->{step.to_name}"
+        for state in (step.from_state, step.to_state):
+            arr = state.as_array()
+            if not (abs(arr.sum() - 1.0) <= eps and np.diff(arr).max(initial=0.0) <= eps
+                    and arr.min() >= -eps):
+                raise ValueError(f"non-canonical state in step {name}")
+        if step.kind is StepKind.DETERMINISTIC:
+            if compare(step.from_state, step.to_state) not in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
+                raise ValueError(f"deterministic step {name} is not allowed")
+            continue
+        if step.kraus is None or step.success_prob is None:
+            raise ValueError("probabilistic step lacks Kraus data or probability")
+        if not (0.0 < step.success_prob <= 1.0):
+            raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
+        m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
+        if not np.max(np.abs(m_sq + n_sq - 1.0)) <= eps:
+            raise ValueError("Kraus diagonals violate completeness")
+        p, success, failure = _reference_apply_two_outcome(step.from_state, step.kraus)
+        if not abs(p - step.success_prob) <= eps:
+            raise ValueError(f"step {name} claims success probability {step.success_prob}, "
+                             f"its Kraus operators give {p}")
+        for branch, claimed, derived in (("success", step.to_state, success),
+                                         ("failure", step.failure_state, failure)):
+            if claimed is not None and (derived is None or not _reference_deviation(claimed, derived) <= eps):
+                given = "a branch of probability ~0" if derived is None else derived
+                raise ValueError(f"step {name} claims the {branch} state {claimed}, "
+                                 f"its Kraus operators give {given}")
+        prob_product *= step.success_prob
+    if not abs(plan.success_prob - prob_product) <= eps:
+        raise ValueError("plan success probability != product of step probabilities")
+
+
+def _outcome(validate, plan):
+    """None for an accepted plan, else the exception's type and message."""
+    try:
+        validate(plan)
+    except Exception as exc:  # the type is part of the outcome being compared
+        return type(exc), str(exc)
+    return None
+
+
+def _reference_outcome(plan):
+    with np.errstate(all="ignore"):  # the reference warns on infinite entries
+        return _outcome(reference_validate_plan, plan)
+
+
+def _prob_steps(doc):
+    return [s for s in doc["steps"] if s["kind"] == "probabilistic"]
+
+
+def _state_lists(doc):
+    """Every state list of a plan document: from, to and failure states."""
+    lists = []
+    for step in doc["steps"]:
+        lists += [step["from"]["state"], step["to"]["state"]]
+        if "failure" in step:
+            lists.append(step["failure"]["state"])
+    return lists
+
+
+def _pick(rng, seq):
+    return seq[rng.integers(len(seq))]
+
+
+def _tamper_entry(value):
+    """Set one entry, or the same entry of two states (inf - inf is NaN), to ``value``."""
+    def tamper(doc, rng):
+        states = _state_lists(doc)
+        index = rng.integers(8)
+        for i in rng.choice(len(states), size=min(len(states), rng.integers(1, 3)), replace=False):
+            states[i][min(index, len(states[i]) - 1)] = value
+    return tamper
+
+
+def _tamper_negative(doc, rng):
+    state = _pick(rng, _state_lists(doc))
+    neg = _pick(rng, [-0.5, -2.0, -1e6]) * get_epsilon()
+    state[0] += state[-1] - neg  # keeps the sum
+    state[-1] = neg
+
+
+def _tamper_sum(doc, rng):
+    state = _pick(rng, _state_lists(doc))
+    state[rng.integers(len(state))] += _pick(rng, [0.5, -0.5, 2.0, -2.0]) * get_epsilon()
+
+
+def _tamper_order_of_steps(doc, rng):
+    doc["steps"] = [doc["steps"][i] for i in rng.permutation(len(doc["steps"]))]
+
+
+def _tamper_probability(doc, rng):
+    delta = _pick(rng, [0.5, -0.5, 2.0, -2.0, 1e6]) * get_epsilon()
+    holders = _prob_steps(doc) + [doc]
+    _pick(rng, holders)["success_prob"] += delta
+
+
+def _tamper_branch_state(doc, rng):
+    prob = _prob_steps(doc)
+    if not prob:
+        return
+    step = _pick(rng, prob)
+    state = step["to"]["state"] if "failure" not in step or rng.random() < 0.5 else step["failure"]["state"]
+    delta = _pick(rng, [0.5, 2.0, 1e6]) * get_epsilon()
+    state[0] += delta
+    state[-1] -= delta
+
+
+def _tamper_longer_failure(doc, rng):
+    for step in _prob_steps(doc):
+        step["failure"]["state"].append(_pick(rng, [0.0, 0.5 * get_epsilon(), 0.01]))
+
+
+def _tamper_mixed_dimension(doc, rng):
+    state = _pick(rng, _state_lists(doc))
+    if rng.random() < 0.3 and len(state) > 1 and state[-1] <= get_epsilon():
+        del state[-1]
+    else:
+        state.extend([0.0] * int(_pick(rng, [1, 3, 6, 60])))
+
+
+def _tamper_kraus_lengths(doc, rng):
+    prob = _prob_steps(doc)
+    if not prob:
+        return
+    kraus = _pick(rng, prob)["kraus"]
+    key = _pick(rng, ["m_diag", "n_diag"])
+    kraus[key] = kraus[key][:1] if rng.random() < 0.5 else kraus[key][:-1]
+
+
+def _tamper_kraus_dimension(doc, rng):
+    prob = _prob_steps(doc)
+    if not prob:
+        return
+    kraus = _pick(rng, prob)["kraus"]
+    if rng.random() < 0.5 or len(kraus["m_diag"]) == 1:
+        kraus["m_diag"].append(1.0)
+        kraus["n_diag"].append(0.0)
+    else:
+        kraus["m_diag"].pop()
+        kraus["n_diag"].pop()
+
+
+TAMPERS = {
+    "nan": _tamper_entry(math.nan),
+    "+inf": _tamper_entry(math.inf),
+    "-inf": _tamper_entry(-math.inf),
+    "negative": _tamper_negative,
+    "sum": _tamper_sum,
+    "step-order": _tamper_order_of_steps,
+    "probability": _tamper_probability,
+    "branch-state": _tamper_branch_state,
+    "longer-failure": _tamper_longer_failure,
+    "mixed-dimension": _tamper_mixed_dimension,
+    "kraus-lengths": _tamper_kraus_lengths,
+    "kraus-dimension": _tamper_kraus_dimension,
+}
+
+
+def _consistent_residual(doc):
+    prob = [s for s in _prob_steps(doc) if "failure" in s]
+    doc["residual"] = copy.deepcopy(prob[-1]["failure"]["state"]) if prob else None
+
+
+def _seeded_plans(dim, rng):
+    pairs = list(zip(*[iter(random_prob_vecs(dim, 8, rng))] * 2))
+    if dim >= 3:
+        pairs += random_incomparable_pairs(dim, 4, rng)
+    return [planner(p, q) for p, q in pairs for planner in (plan_vidal, plan_greedy, plan_thrifty)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+def test_validate_plan_matches_the_reference(dim):
+    rng = np.random.default_rng(700 + dim)
+    outcomes = []
+    for plan in _seeded_plans(dim, rng):
+        doc = plan_to_dict(plan)
+        cases = [("untampered", doc)]
+        for label, tamper in TAMPERS.items():
+            tampered = copy.deepcopy(doc)
+            tamper(tampered, rng)
+            _consistent_residual(tampered)
+            cases.append((label, tampered))
+        for label, case in cases:
+            restored = plan_from_dict(case)
+            expected = _reference_outcome(restored)
+            assert _outcome(validate_plan, restored) == expected, (label, case)
+            outcomes.append(expected)
+    assert outcomes[0] is None
+    assert 0 < sum(o is not None for o in outcomes) < len(outcomes)
+
+
+def _deterministic_plan(*states):
+    return plan_from_dict({"protocol": "vidal", "success_prob": 1.0, "steps": [
+        {"kind": "deterministic", "from": {"name": f"s{i}", "state": a},
+         "to": {"name": f"s{i + 1}", "state": b}}
+        for i, (a, b) in enumerate(zip(states, states[1:]))]})
+
+
+@pytest.mark.parametrize("wider", [False, True])
+def test_a_step_margin_stops_at_its_own_dimension(wider):
+    eps = get_epsilon()
+    source = [0.6, 0.3, 0.1 + 0.9 * eps]  # sums to 1 + 0.9 eps
+    if wider:  # a 3 -> 3 step in a plan five entries wide
+        plan = _deterministic_plan(source, [0.6, 0.3, 0.1 - 0.9 * eps], [1.0, 0.0, 0.0, 0.0, 0.0])
+    else:      # a 3 -> 5 step to a state summing to 1 - 0.9 eps
+        plan = _deterministic_plan(source, [0.6, 0.3, 0.1 - 0.05 * eps, 0.0, -0.85 * eps])
+    validate_plan(plan)  # the margin over all entries of the 3 -> n step is -1.8 eps
+    assert _reference_outcome(plan) is None
+
+
+def test_each_state_is_summed_at_its_own_length():
+    """Zero padding changes numpy's pairwise sum, so the canonical check may not
+    sum a state as part of a wider row: find a 5-entry state whose sum check
+    flips when it is padded to 9 entries, and put it in a 9-wide plan."""
+    eps = get_epsilon()
+    rng = np.random.default_rng(0)
+    straddling = []
+    while not straddling:
+        x = np.sort(rng.dirichlet(np.ones(5)))[::-1] * (1.0 + eps)
+        nudged = [x[:-1].tolist() + [x[-1] + k * np.spacing(x[-1])] for k in range(-40, 41)]
+        straddling = [s for s in nudged
+                      if (abs(np.sum(s) - 1.0) <= eps) != (abs(np.sum(s + [0.0] * 4) - 1.0) <= eps)]
+    plan = _deterministic_plan(straddling[0], [1.0] + [0.0] * 8)
+    assert _outcome(validate_plan, plan) == _reference_outcome(plan)
+
+
+def test_the_probability_message_carries_the_one_dimensional_dot(worked_pair):
+    plan = plan_thrifty(*worked_pair)
+    first, step, last = plan.steps
+    wrong = dataclasses.replace(plan, steps=(first, dataclasses.replace(step, success_prob=0.9), last))
+    derived = float(np.square(step.kraus.m_diag) @ step.from_state.as_array())
+    with pytest.raises(ValueError, match="its Kraus operators give") as info:
+        validate_plan(wrong)
+    assert str(info.value).endswith(f"its Kraus operators give {derived!r}")
+    assert (ValueError, str(info.value)) == _reference_outcome(wrong)
+
+
+@pytest.mark.parametrize("residual", [[1.0, 0.0, 0.0], [0.3, 0.3], [0.625, 0.375, 0.5]])
+def test_validate_plan_rejects_a_residual_that_is_not_the_failure_state(worked_pair, residual):
+    doc = plan_to_dict(plan_thrifty(*worked_pair))
+    doc["residual"] = residual
+    plan = plan_from_dict(doc)
+    assert _reference_outcome(plan) is None  # the per-step checks all pass
+    with pytest.raises(ValueError, match="residual .* is not the failure state of step"):
+        validate_plan(plan)
+
+
+def test_validate_plan_rejects_a_residual_without_a_probabilistic_step(worked_pair):
+    p, _ = worked_pair
+    plan = plan_vidal(p, canonicalize([0.7, 0.2, 0.1]))
+    validate_plan(plan)
+    with pytest.raises(ValueError, match="residual but no probabilistic step"):
+        validate_plan(dataclasses.replace(plan, residual=p))
+
+
+def test_validate_plan_compares_the_residual_after_zero_padding(worked_pair):
+    plan = plan_thrifty(*worked_pair)
+    eps = get_epsilon()
+    near = ProbVec(tuple(x + 0.5 * eps for x in plan.residual.entries[:2]))
+    validate_plan(dataclasses.replace(plan, residual=near))
+    with pytest.raises(ValueError, match="not the failure state"):
+        validate_plan(dataclasses.replace(plan, residual=ProbVec(near.entries + (2 * eps,))))
