@@ -204,7 +204,7 @@ def _cmd_compare(args):
 
 
 def _bound_result(name: str, bound: ProbVec) -> _Result:
-    entries = list(bound.entries)
+    entries = bound.as_array().tolist()
     return _Result({name: entries, "cumulative_sums": list(cumulative_sums(bound))}, [entries])
 
 
@@ -308,14 +308,14 @@ def _cmd_random(args):
         raise ValueError("random needs --dim >= 1")
     seed = getattr(args, "seed", None)
     rng = np.random.default_rng(seed)
-    vectors = {f"v{i}": list(v.entries)
+    vectors = {f"v{i}": v.as_array().tolist()
                for i, v in enumerate(random_prob_vecs(args.dim, args.count, rng))}
     payload = {"dim": args.dim, "seed": seed, "vectors": vectors}
     if args.pairs > 0:
         pairs = {}
         for i, (p, q) in enumerate(random_incomparable_pairs(args.dim, args.pairs, rng)):
-            vectors[f"p{i}a"] = list(p.entries)
-            vectors[f"p{i}b"] = list(q.entries)
+            vectors[f"p{i}a"] = p.as_array().tolist()
+            vectors[f"p{i}b"] = q.as_array().tolist()
             pairs[f"pair{i}"] = [f"p{i}a", f"p{i}b"]
         payload["pairs"] = pairs
     rows = [["name"] + [f"x{i}" for i in range(args.dim)]]

@@ -100,15 +100,16 @@ def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
     points (E_target(l), E_source(l)), l = l_1..1; their slopes are the ratios.
     """
     _check_ranks(source, target)
-    s, t = pad_pair(source, target)
-    es, et = _suffix_sums(s), _suffix_sums(t)
+    d = max(source.dim, target.dim)
+    source, target = source.padded(d), target.padded(d)
+    es, et = _suffix_sums(source.as_array()), _suffix_sums(target.as_array())
     r1, l1 = _min_ratio(es, et, get_epsilon())
     es, et = es.tolist(), et.tolist()
     blocks = [l1 - 1 - v for v in _lower_hull(et[l1 - 1 :: -1], es[l1 - 1 :: -1])]
     ratios = [r1] + [(es[b] - es[a]) / (et[b] - et[a]) for a, b in zip(blocks, blocks[1:])]
     return RatioLadder(
-        source=ProbVec(tuple(s.tolist())),
-        target=ProbVec(tuple(t.tolist())),
+        source=source,
+        target=target,
         ratios=tuple(ratios),
         indices=tuple(b + 1 for b in blocks),
     )
@@ -121,13 +122,13 @@ def r_vector(ladder: RatioLadder) -> tuple[float, ...]:
     for r, lo in zip(ladder.ratios, ladder.indices):
         rv[lo - 1 : hi - 1] = r
         hi = lo
-    return tuple(float(x) for x in rv)
+    return tuple(rv.tolist())
 
 
 def _intermediate(ladder: RatioLadder) -> tuple[np.ndarray, ProbVec]:
     """The ladder's block ratio vector and the intermediate state r * target."""
     rv = np.asarray(r_vector(ladder))
-    return rv, ProbVec(tuple(float(x) for x in rv * ladder.target.as_array()))
+    return rv, ProbVec(rv * ladder.target.as_array())
 
 
 def intermediate_state(source: ProbVec, target: ProbVec) -> ProbVec:

@@ -29,7 +29,7 @@ from .schmidt import ProbVec
 
 def cumulative_sums(p: ProbVec) -> tuple[float, ...]:
     """Partial sums s_0 = 0, s_1, ..., s_d of a canonical vector."""
-    return (0.0,) + tuple(float(x) for x in np.cumsum(p.as_array()))
+    return (0.0, *np.cumsum(p.as_array()).tolist())
 
 
 def _lower_hull(x, y) -> list[int]:
@@ -87,12 +87,12 @@ def _stacked_suffix_sums(vs) -> np.ndarray:
     d = max(v.dim for v in vs)
     rows = np.zeros((len(vs), d))
     for i, v in enumerate(vs):
-        rows[i, : v.dim] = v.entries
+        rows[i, : v.dim] = v.as_array()
     return _suffix_sums(rows)
 
 
 def _pack(entries: np.ndarray) -> ProbVec:
-    return ProbVec(tuple(float(x) for x in np.clip(entries, 0.0, None)))
+    return ProbVec(np.clip(entries, 0.0, None))
 
 
 def _meet(vs) -> ProbVec:

@@ -84,8 +84,7 @@ def schmidt_spectrum(state: BipartiteState) -> ProbVec:
     sv = np.linalg.svd(state.amplitudes, compute_uv=False)
     lam = sv**2
     lam = lam / lam.sum()
-    lam = np.sort(lam)[::-1]
-    return ProbVec(tuple(float(x) for x in lam))
+    return ProbVec(np.sort(lam)[::-1])
 
 
 def _branch_spectrum(state: BipartiteState, diag, prob: float) -> ProbVec:
@@ -191,7 +190,7 @@ def run_plan(plan: ConversionPlan, shots: int, seed=None) -> OutcomeStats:
                 total = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
     residual_mean = None
     if failures:
-        residual_mean = tuple(float(x) for x in total[:reached] / failures)
+        residual_mean = tuple((total[:reached] / failures).tolist())
     successes = shots - failures
     return OutcomeStats(
         shots=shots,

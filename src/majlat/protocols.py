@@ -104,8 +104,8 @@ def _kraus(r1: float, rv: np.ndarray) -> KrausDiagonals:
     m_sq = r1 / rv
     n_sq = np.clip(1.0 - m_sq, 0.0, None)
     return KrausDiagonals(
-        m_diag=tuple(float(x) for x in np.sqrt(m_sq)),
-        n_diag=tuple(float(x) for x in np.sqrt(n_sq)),
+        m_diag=tuple(np.sqrt(m_sq).tolist()),
+        n_diag=tuple(np.sqrt(n_sq).tolist()),
     )
 
 
@@ -139,7 +139,7 @@ def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray
 
 
 def _row_vec(row: np.ndarray | None) -> ProbVec | None:
-    return None if row is None else ProbVec(tuple(row.tolist()))
+    return None if row is None else ProbVec(row)
 
 
 def apply_two_outcome(state: ProbVec, kraus: KrausDiagonals) -> TwoOutcomeResult:
@@ -340,7 +340,7 @@ def validate_plan(plan: ConversionPlan) -> None:
     width = max(dims)
     rows = np.zeros((len(states), width))  # row 2i: from-state of step i, row 2i+1: its to-state
     for r, state in enumerate(states):
-        rows[r, : state.dim] = state.entries
+        rows[r, : state.dim] = state.as_array()
     with np.errstate(all="ignore"):  # non-finite entries fail the checks, silently
         if len(steps) > 1:
             gaps = np.maximum.reduce(np.abs(rows[1:-1:2] - rows[2::2]), axis=1)
@@ -409,7 +409,7 @@ def validate_plan(plan: ConversionPlan) -> None:
 # serialization (JSON-ready dicts and DOT digraphs)
 
 def _state_list(p: ProbVec) -> list[float]:
-    return [float(x) for x in p.entries]
+    return p.as_array().tolist()
 
 
 def step_to_dict(step: PlanStep) -> dict:
@@ -440,11 +440,11 @@ def step_from_dict(doc: dict) -> PlanStep:
         kwargs["success_prob"] = float(doc["success_prob"])
         if "failure" in doc:
             kwargs["failure_name"] = doc["failure"]["name"]
-            kwargs["failure_state"] = ProbVec(tuple(doc["failure"]["state"]))
+            kwargs["failure_state"] = ProbVec(doc["failure"]["state"])
     return PlanStep(
         kind,
-        doc["from"]["name"], ProbVec(tuple(doc["from"]["state"])),
-        doc["to"]["name"], ProbVec(tuple(doc["to"]["state"])),
+        doc["from"]["name"], ProbVec(doc["from"]["state"]),
+        doc["to"]["name"], ProbVec(doc["to"]["state"]),
         **kwargs,
     )
 
@@ -461,8 +461,8 @@ def _ladder_to_dict(ladder: RatioLadder) -> dict:
 
 def _ladder_from_dict(doc: dict) -> RatioLadder:
     return RatioLadder(
-        source=ProbVec(tuple(doc["source"])),
-        target=ProbVec(tuple(doc["target"])),
+        source=ProbVec(doc["source"]),
+        target=ProbVec(doc["target"]),
         ratios=tuple(float(x) for x in doc["ratios"]),
         indices=tuple(int(x) for x in doc["indices"]),
     )
@@ -491,10 +491,10 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
             protocol=doc["protocol"],
             steps=tuple(step_from_dict(s) for s in doc["steps"]),
             success_prob=float(doc["success_prob"]),
-            residual=None if residual is None else ProbVec(tuple(residual)),
+            residual=None if residual is None else ProbVec(residual),
             ladder=None if ladder is None else _ladder_from_dict(ladder),
         )
-    except TypeError as exc:  # a field of the wrong JSON type
+    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
         raise ValueError(f"malformed plan document: {exc}") from None
 
 

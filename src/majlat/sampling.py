@@ -17,7 +17,7 @@ def random_prob_vecs(dim: int, count: int, rng) -> list[ProbVec]:
     rng = np.random.default_rng(rng)
     batch = rng.dirichlet(np.ones(dim), size=count)
     batch = np.sort(batch, axis=1)[:, ::-1]
-    return [ProbVec(tuple(float(x) for x in row)) for row in batch]
+    return [ProbVec(row) for row in batch]
 
 
 def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, ProbVec]]:
@@ -34,10 +34,7 @@ def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, 
         cb = np.cumsum(b, axis=1)[:, :-1]
         mask = np.any(ca > cb, axis=1) & np.any(cb > ca, axis=1)
         for pa, pb in zip(a[mask], b[mask]):
-            pairs.append((
-                ProbVec(tuple(float(x) for x in pa)),
-                ProbVec(tuple(float(x) for x in pb)),
-            ))
+            pairs.append((ProbVec(pa), ProbVec(pb)))
             if len(pairs) == count:
                 break
     return pairs
@@ -50,7 +47,7 @@ def robin_hood_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
     sorted and is majorized by the input.
     """
     rng = np.random.default_rng(rng)
-    arr = np.array(p.entries)
+    arr = p.as_array().copy()
     for _ in range(steps):
         if arr.size < 2:
             break
@@ -59,13 +56,13 @@ def robin_hood_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
         delta = rng.random() * gap / 2.0
         arr[i] -= delta
         arr[i + 1] += delta
-    return ProbVec(tuple(float(x) for x in arr))
+    return ProbVec(arr)
 
 
 def sharpening_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
     """More ordered witness: move mass from a smaller to a larger entry."""
     rng = np.random.default_rng(rng)
-    arr = np.array(p.entries)
+    arr = p.as_array().copy()
     for _ in range(steps):
         if arr.size < 2:
             break
@@ -74,7 +71,7 @@ def sharpening_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
         arr[i] += delta
         arr[i + 1] -= delta
         arr = np.sort(arr)[::-1]
-    return ProbVec(tuple(float(x) for x in arr))
+    return ProbVec(arr)
 
 
 def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[float, ...]]:
@@ -101,7 +98,7 @@ def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[flo
         weights[lo:hi] = mu[t]
     weights /= float(weights @ x)  # then weights @ y == 1 as well, by the ties
     return (
-        ProbVec(tuple(float(v) for v in x)),
-        ProbVec(tuple(float(v) for v in y)),
-        tuple(float(v) for v in weights),
+        ProbVec(x),
+        ProbVec(y),
+        tuple(weights.tolist()),
     )

@@ -4,12 +4,18 @@ A ``ProbVec`` holds a Schmidt spectrum in canonical form: entries sorted in
 non-increasing order, non-negative, summing to 1 within the global tolerance.
 Two vectors of different length are compared after zero-padding the shorter
 one, so trailing zeros never change any result.
+
+Each vector stores its entries once, as a read-only, C-contiguous float64
+array copied when the vector is built; ``as_array()`` returns that array
+itself, so library code reads spectra without converting them.  ``entries``
+builds a tuple of Python floats on each access, for printing and for
+callers that want plain numbers.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -17,18 +23,42 @@ from .config import get_epsilon
 from .errors import NegativeEntry, NotNormalized
 
 
-@dataclass(frozen=True)
 class ProbVec:
-    """Canonical (sorted, normalized) probability vector."""
+    """Canonical (sorted, normalized) probability vector.
 
-    entries: tuple[float, ...]
+    Built from any 1-d sequence or array, which is copied; immutable, with
+    equality and hashing by the tuple of its entries.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, entries):
+        arr = np.array(entries, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"a probability vector is 1-d, not {arr.ndim}-d")
+        arr.setflags(write=False)
+        object.__setattr__(self, "_array", arr)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ProbVec, (self._array,)
+
+    @property
+    def entries(self) -> tuple[float, ...]:
+        return tuple(self._array.tolist())
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self._array.size
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
+        """The stored read-only array (no copy)."""
+        return self._array
 
     def padded(self, dim: int) -> "ProbVec":
         """Return a copy padded with trailing zeros up to ``dim``."""
@@ -36,10 +66,21 @@ class ProbVec:
             raise ValueError(f"cannot pad {self.dim}-dim vector down to {dim}")
         if dim == self.dim:
             return self
-        return ProbVec(self.entries + (0.0,) * (dim - self.dim))
+        return ProbVec(np.concatenate((self._array, np.zeros(dim - self.dim))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"ProbVec(entries={self.entries!r})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(f"{x:.12g}" for x in self.entries) + ")"
+        return "(" + ", ".join(f"{x:.12g}" for x in self._array.tolist()) + ")"
 
 
 class MajOrder(enum.Enum):
@@ -71,8 +112,7 @@ def canonicalize(raw, dim: int | None = None) -> ProbVec:
     if abs(total - 1.0) > eps:
         raise NotNormalized(f"entries sum to {total!r}, expected 1 within {eps:g}")
     arr = np.clip(arr, 0.0, None)
-    arr = np.sort(arr)[::-1]
-    vec = ProbVec(tuple(float(x) for x in arr))
+    vec = ProbVec(np.sort(arr)[::-1])
     if dim is not None:
         vec = vec.padded(dim)
     return vec
@@ -82,7 +122,7 @@ def uniform(dim: int) -> ProbVec:
     """The maximally disordered vector (bottom of the lattice) of a given dimension."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return ProbVec((1.0 / dim,) * dim)
+    return ProbVec(np.full(dim, 1.0 / dim))
 
 
 def effective_rank(p: ProbVec) -> int:
@@ -92,13 +132,9 @@ def effective_rank(p: ProbVec) -> int:
 
 
 def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of both vectors as arrays of a common length."""
+    """Entries of both vectors as read-only arrays of a common length."""
     d = max(p.dim, q.dim)
-    a = np.zeros(d)
-    b = np.zeros(d)
-    a[: p.dim] = p.entries
-    b[: q.dim] = q.entries
-    return a, b
+    return p.padded(d).as_array(), q.padded(d).as_array()
 
 
 def partial_sum_margins(p: ProbVec, q: ProbVec) -> np.ndarray:

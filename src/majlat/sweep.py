@@ -93,7 +93,7 @@ class SweepReport:
 
 
 def _desc(*vecs: ProbVec) -> dict:
-    return {f"vector_{i}": list(v.entries) for i, v in enumerate(vecs)}
+    return {f"vector_{i}": v.as_array().tolist() for i, v in enumerate(vecs)}
 
 
 def _plan_desc(plan: ConversionPlan) -> dict:
@@ -179,8 +179,8 @@ def _check_meet_monotones(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | N
 
 def _check_hadamard(x: ProbVec, y: ProbVec, a) -> tuple[bool, float, dict | None]:
     """Lemma 2: x majorized by y stays so after the entrywise product with weights a."""
-    u = ProbVec(tuple(float(v) for v in np.asarray(a) * x.as_array()))
-    v = ProbVec(tuple(float(v) for v in np.asarray(a) * y.as_array()))
+    u = ProbVec(np.asarray(a) * x.as_array())
+    v = ProbVec(np.asarray(a) * y.as_array())
     slack = majorizes_margin(u, v)
     ok = slack >= MARGIN_FLOOR
     detail = None if ok else {"check": "hadamard-order", "weights": list(a), **_desc(x, y)}

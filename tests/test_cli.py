@@ -357,9 +357,13 @@ def _kraus_entry_string(doc):
     doc["steps"][1]["kraus"]["n_diag"][0] = "x"
 
 
+def _state_entry_object(doc):
+    doc["steps"][0]["from"]["state"] = [{}, 0.5]
+
+
 @pytest.mark.parametrize("tamper", [
     _state_null, _steps_int, _success_prob_null, _from_string, _failure_state_null,
-    _kraus_entry_null, _kraus_entry_string,
+    _kraus_entry_null, _kraus_entry_string, _state_entry_object,
 ])
 def test_simulate_rejects_wrong_typed_plan_fields(tmp_path, tamper):
     doc = plan_to_dict(plan_thrifty(canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])))
@@ -369,7 +373,7 @@ def test_simulate_rejects_wrong_typed_plan_fields(tmp_path, tamper):
     code, out, err = run_cli("simulate", "--plan", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error: malformed plan document:")
 
 
 def test_protocol_walkthrough_script_runs():

@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +8,17 @@ import hypothesis.strategies as st
 
 from majlat import config
 from majlat.errors import NegativeEntry, NotNormalized
-from majlat.sampling import robin_hood_transfer
+from majlat.ladder import intermediate_state, ratio_ladder
+from majlat.lattice import join, join_many, meet, meet_many
+from majlat.oracle import embed, schmidt_spectrum
+from majlat.protocols import apply_two_outcome, kraus_diagonals
+from majlat.sampling import (
+    random_incomparable_pairs,
+    random_prob_vecs,
+    random_tied_majorization,
+    robin_hood_transfer,
+    sharpening_transfer,
+)
 from majlat.schmidt import (
     MajOrder,
     ProbVec,
@@ -108,3 +121,109 @@ def test_bottom_and_top_bound_everything(p):
     assert compare(uniform(p.dim), p) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
     top = ProbVec((1.0,) + (0.0,) * (p.dim - 1))
     assert compare(p, top) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
+
+
+class TestProbVecStorage:
+    def test_source_array_is_copied(self):
+        src = np.array([0.5, 0.3, 0.2])
+        vec = ProbVec(src)
+        src[0] = 0.9
+        assert vec.entries == (0.5, 0.3, 0.2)
+
+    def test_as_array_is_the_stored_read_only_array(self):
+        vec = ProbVec([0.5, 0.3, 0.2])
+        arr = vec.as_array()
+        assert vec.as_array() is arr
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.9
+        assert vec.entries == (0.5, 0.3, 0.2)
+
+    def test_attributes_cannot_be_set(self):
+        vec = ProbVec([0.5, 0.5])
+        with pytest.raises(AttributeError):
+            vec.entries = (1.0,)
+        with pytest.raises(AttributeError):
+            vec._array = np.array([1.0])
+        assert vec.entries == (0.5, 0.5)
+
+    def test_entries_is_a_tuple_of_python_floats(self):
+        entries = ProbVec(np.array([0.5, 0.3, 0.2])).entries
+        assert type(entries) is tuple
+        assert all(type(x) is float for x in entries)
+
+    def test_equality_and_hash_follow_the_entries_tuple(self):
+        a, b = ProbVec([1.0, 0.0]), ProbVec([1.0, -0.0])
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash(a) == hash(ProbVec([1.0, 0.0]))
+        assert ProbVec([1.0, 0.0]) != ProbVec([1.0, 0.0, 0.0])
+        assert ProbVec([0.6, 0.4]) != ProbVec([0.4, 0.6])
+        assert ProbVec([1.0]) != (1.0,)
+
+    def test_pickle_round_trip(self):
+        vec = canonicalize([0.1, 0.5, 0.4])
+        back = pickle.loads(pickle.dumps(vec))
+        assert back == vec and hash(back) == hash(vec)
+        assert not back.as_array().flags.writeable
+
+    @pytest.mark.parametrize("bad", [[[0.5, 0.5]], np.ones((2, 2)) / 4, 1.0])
+    def test_non_1d_input_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ProbVec(bad)
+
+    def test_str_and_padding_unchanged(self):
+        vec = ProbVec([0.5, 0.25, 0.25])
+        assert str(vec) == "(0.5, 0.25, 0.25)"
+        assert vec.padded(3) is vec
+        assert vec.padded(5).entries == (0.5, 0.25, 0.25, 0.0, 0.0)
+
+
+def test_sampled_vectors_hold_one_array_each():
+    """1,000 spectra at d = 512 hold about 4 MiB (8 bytes an entry), not a tuple of floats each."""
+    tracemalloc.start()
+    try:
+        vecs = random_prob_vecs(512, 1000, np.random.default_rng(1))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vecs) == 1000
+    assert held < 6 * 2**20
+
+
+def _producers():
+    p, q = canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])
+    ladder = ratio_ladder(p, q)
+    outcome = apply_two_outcome(p, kraus_diagonals(ladder))
+    x, y, _ = random_tied_majorization(5, 3)
+    return {
+        "canonicalize": canonicalize([0.2, 0.8]),
+        "uniform": uniform(4),
+        "padded": p.padded(5),
+        "meet": meet(p, q),
+        "join": join(p, q),
+        "meet_many": meet_many([p, q, uniform(3)]),
+        "join_many": join_many([p, q, uniform(3)]),
+        "ladder_source": ladder.source,
+        "ladder_target": ratio_ladder(p, canonicalize([0.7, 0.3])).target,
+        "intermediate_state": intermediate_state(p, q),
+        "success_branch": outcome.success_state,
+        "failure_branch": outcome.failure_state,
+        "random_prob_vecs": random_prob_vecs(4, 1, 0)[0],
+        "random_incomparable_pairs": random_incomparable_pairs(4, 1, 0)[0][1],
+        "robin_hood_transfer": robin_hood_transfer(p, 0),
+        "sharpening_transfer": sharpening_transfer(p, 0),
+        "random_tied_majorization_x": x,
+        "random_tied_majorization_y": y,
+        "schmidt_spectrum": schmidt_spectrum(embed(q)),
+    }
+
+
+PRODUCERS = _producers()
+
+
+@pytest.mark.parametrize("name", list(PRODUCERS))
+def test_every_producer_returns_a_read_only_float64_array(name):
+    arr = PRODUCERS[name].as_array()
+    assert arr.dtype == np.float64 and arr.ndim == 1 and arr.flags.c_contiguous
+    assert not arr.flags.writeable
