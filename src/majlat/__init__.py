@@ -18,7 +18,6 @@ from .errors import (
 )
 from .lattice import cumulative_sums, join, join_many, least_concave_majorant, meet, meet_many
 from .ladder import (
-    MonotoneProfile,
     RatioLadder,
     intermediate_state,
     monotones,
@@ -37,8 +36,7 @@ from .oracle import (
 from .protocols import (
     ConversionPlan,
     KrausDiagonals,
-    MultiSourcePlan,
-    MultiTargetPlan,
+    MultiStatePlan,
     PlanStep,
     StepKind,
     TwoOutcomeResult,
@@ -68,9 +66,7 @@ __all__ = [
     "KrausDiagonals",
     "MajOrder",
     "MajlatError",
-    "MonotoneProfile",
-    "MultiSourcePlan",
-    "MultiTargetPlan",
+    "MultiStatePlan",
     "NegativeEntry",
     "NotNormalized",
     "OutcomeStats",

@@ -28,10 +28,7 @@ from .lattice import cumulative_sums, join, meet
 from .ladder import p_max, r_vector, ratio_ladder
 from .oracle import run_plan
 from .protocols import (
-    multi_source_to_dict,
-    multi_source_to_dot,
-    multi_target_to_dict,
-    multi_target_to_dot,
+    multi_plan_to_dict,
     plan_from_dict,
     plan_greedy,
     plan_multi_source,
@@ -228,7 +225,7 @@ def _cmd_ladder(args):
         "ratios": list(ladder.ratios),
         "indices": list(ladder.indices),
         "l0": ladder.l0,
-        "r_vector": list(r_vector(ladder)),
+        "r_vector": r_vector(ladder).tolist(),
     }
     rows = [["j", "ratio", "index"]]
     rows += [[j + 1, r, l] for j, (r, l) in enumerate(zip(ladder.ratios, ladder.indices))]
@@ -243,30 +240,25 @@ def _planner(protocol: str, also: tuple[str, ...] = ()):
     return PLAN_BUILDERS[protocol]
 
 
-def _plan_result(doc: dict, dot: str) -> _Result:
-    steps = doc.get("steps")
-    if steps is None:  # multi plans
-        steps = doc.get("heads", []) + doc["core"]["steps"] + doc.get("tails", [])
-    rows = [["step", "kind", "from", "to", "success_prob"]]
-    rows += [[i, step["kind"], step["from"]["name"], step["to"]["name"],
-              step.get("success_prob", "")] for i, step in enumerate(steps)]
-    return _Result(doc, rows, dot=dot)
-
-
 def _cmd_plan(args):
     if not args.vectors:
         raise ValueError("plan needs a protocol, then vectors or --pair / --collection")
     protocol, *args.vectors = args.vectors
     if protocol not in _MULTI_PROTOCOLS:
-        build = _planner(protocol, also=_MULTI_PROTOCOLS)
-        plan = build(*_resolve_inputs(args))
-        return _plan_result(plan_to_dict(plan), plan_to_dot(plan))
-    vecs = _resolve_inputs(args, want=None)
-    if protocol == "multi-target":
-        plan = plan_multi_target(vecs[0], vecs[1:])
-        return _plan_result(multi_target_to_dict(plan), multi_target_to_dot(plan))
-    plan = plan_multi_source(vecs[:-1], vecs[-1])
-    return _plan_result(multi_source_to_dict(plan), multi_source_to_dot(plan))
+        plan = _planner(protocol, also=_MULTI_PROTOCOLS)(*_resolve_inputs(args))
+        doc = plan_to_dict(plan)
+    else:
+        vecs = _resolve_inputs(args, want=None)
+        if protocol == "multi-target":
+            plan = plan_multi_target(vecs[0], vecs[1:])
+        else:
+            plan = plan_multi_source(vecs[:-1], vecs[-1])
+        doc = multi_plan_to_dict(plan)
+    rows = [["step", "kind", "from", "to", "success_prob"]]
+    rows += [[i, step.kind.value, step.from_name, step.to_name,
+              "" if step.success_prob is None else step.success_prob]
+             for i, step in enumerate(plan.steps)]
+    return _Result(doc, rows, dot=plan_to_dot(plan))
 
 
 def _cmd_sweep(args):

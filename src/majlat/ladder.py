@@ -21,16 +21,6 @@ from .schmidt import ProbVec, effective_rank, pad_pair
 
 
 @dataclass(frozen=True)
-class MonotoneProfile:
-    """Suffix sums E_l = sum of the entries from position l on (1-indexed l)."""
-
-    values: tuple[float, ...]
-
-    def at(self, l: int) -> float:
-        return self.values[l - 1]
-
-
-@dataclass(frozen=True)
 class RatioLadder:
     """Minimized monotone-ratio sequence of a source -> target conversion.
 
@@ -58,8 +48,9 @@ class RatioLadder:
         return self.dim + 1
 
 
-def monotones(p: ProbVec) -> MonotoneProfile:
-    return MonotoneProfile(tuple(_suffix_sums(p.as_array())[:-1].tolist()))
+def monotones(p: ProbVec) -> np.ndarray:
+    """Suffix sums E_l = sum of the entries from position l on, at index l - 1."""
+    return _suffix_sums(p.as_array())[:-1]
 
 
 def _check_ranks(source: ProbVec, target: ProbVec) -> None:
@@ -115,19 +106,19 @@ def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
     )
 
 
-def r_vector(ladder: RatioLadder) -> tuple[float, ...]:
+def r_vector(ladder: RatioLadder) -> np.ndarray:
     """Block-constant, non-increasing vector carrying ratio j on block j."""
     rv = np.empty(ladder.dim)
     hi = ladder.l0  # exclusive 1-indexed upper bound of the current block
     for r, lo in zip(ladder.ratios, ladder.indices):
         rv[lo - 1 : hi - 1] = r
         hi = lo
-    return tuple(rv.tolist())
+    return rv
 
 
 def _intermediate(ladder: RatioLadder) -> tuple[np.ndarray, ProbVec]:
     """The ladder's block ratio vector and the intermediate state r * target."""
-    rv = np.asarray(r_vector(ladder))
+    rv = r_vector(ladder)
     return rv, ProbVec(rv * ladder.target.as_array())
 
 

@@ -9,12 +9,17 @@ The greedy protocol detours through the optimal common product (the join of
 source and target), the thrifty protocol through the optimal common resource
 (the meet).  Both succeed with the same optimal probability; the thrifty
 residual is always majorized by the greedy one.
+
+A multi-state plan, for an undisclosed source or target out of several, is
+one core plan plus a deterministic head per source or tail per target.  It
+is valid when each of its paths, one head or tail plus the core, passes
+``validate_plan``.  ``plan_to_dot`` draws either kind of plan.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,21 +70,33 @@ class ConversionPlan:
 
 
 @dataclass(frozen=True)
-class MultiTargetPlan:
-    """Probabilistic move to the common resource, then one deterministic tail per target."""
+class MultiStatePlan:
+    """Plan for an undisclosed source or target out of several candidates.
 
-    core: ConversionPlan
-    tails: tuple[PlanStep, ...]
-    success_prob: float
+    Multi-source plans climb from each source by its deterministic head into
+    the shared core; multi-target plans leave the shared core by one
+    deterministic tail per target.  One of ``heads`` and ``tails`` is empty.
+    Each path, one head or tail plus the core, is an ordinary conversion plan.
+    """
 
-
-@dataclass(frozen=True)
-class MultiSourcePlan:
-    """One deterministic head per source into the common product, then a probabilistic tail."""
-
+    protocol: str
     heads: tuple[PlanStep, ...]
     core: ConversionPlan
-    success_prob: float
+    tails: tuple[PlanStep, ...]
+
+    @property
+    def success_prob(self) -> float:
+        return self.core.success_prob
+
+    @property
+    def steps(self) -> tuple[PlanStep, ...]:
+        return self.heads + self.core.steps + self.tails
+
+    def paths(self) -> tuple[ConversionPlan, ...]:
+        """One plan per head or tail, with the core's protocol, probability, residual and ladder."""
+        core = self.core
+        return (tuple(replace(core, steps=(head,) + core.steps) for head in self.heads)
+                + tuple(replace(core, steps=core.steps + (tail,)) for tail in self.tails))
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,7 @@ def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
     exactly 1 on the first block; the failure operator fills up to
     completeness and therefore vanishes there.
     """
-    return _kraus(ladder.ratios[0], np.asarray(r_vector(ladder)))
+    return _kraus(ladder.ratios[0], r_vector(ladder))
 
 
 def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray
@@ -223,7 +240,7 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
                           residual=core.residual, ladder=core.ladder)
 
 
-def plan_multi_target(source: ProbVec, targets) -> MultiTargetPlan:
+def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
     """Plan for an undisclosed target out of several candidates.
 
     Moves probabilistically to the common resource of source and all targets;
@@ -245,10 +262,10 @@ def plan_multi_target(source: ProbVec, targets) -> MultiTargetPlan:
                  f"target_{i}", t.padded(d))
         for i, t in enumerate(targets)
     )
-    return MultiTargetPlan(core=core, tails=tails, success_prob=core.success_prob)
+    return MultiStatePlan("multi-target", (), core, tails)
 
 
-def plan_multi_source(sources, target: ProbVec) -> MultiSourcePlan:
+def plan_multi_source(sources, target: ProbVec) -> MultiStatePlan:
     """Plan for an undisclosed source out of several candidates.
 
     Every source climbs deterministically to the common product of all
@@ -269,7 +286,7 @@ def plan_multi_source(sources, target: ProbVec) -> MultiSourcePlan:
                  "common_product", ocp.padded(d))
         for i, s in enumerate(sources)
     )
-    return MultiSourcePlan(heads=heads, core=core, success_prob=core.success_prob)
+    return MultiStatePlan("multi-source", heads, core, ())
 
 
 def step_outcomes(step: PlanStep) -> list[tuple[float, ProbVec]]:
@@ -494,32 +511,25 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
             residual=None if residual is None else ProbVec(residual),
             ladder=None if ladder is None else _ladder_from_dict(ladder),
         )
-    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
+    except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong JSON type or shape
         raise ValueError(f"malformed plan document: {exc}") from None
 
 
-def multi_target_to_dict(plan: MultiTargetPlan) -> dict:
-    return {
-        "protocol": "multi-target",
-        "success_prob": plan.success_prob,
-        "core": plan_to_dict(plan.core),
-        "tails": [step_to_dict(s) for s in plan.tails],
-    }
+def multi_plan_to_dict(plan: MultiStatePlan) -> dict:
+    doc = {"protocol": plan.protocol, "success_prob": plan.success_prob}
+    if plan.heads:
+        doc["heads"] = [step_to_dict(s) for s in plan.heads]
+    doc["core"] = plan_to_dict(plan.core)
+    if plan.tails:
+        doc["tails"] = [step_to_dict(s) for s in plan.tails]
+    return doc
 
 
-def multi_source_to_dict(plan: MultiSourcePlan) -> dict:
-    return {
-        "protocol": "multi-source",
-        "success_prob": plan.success_prob,
-        "heads": [step_to_dict(s) for s in plan.heads],
-        "core": plan_to_dict(plan.core),
-    }
-
-
-def _dot_lines(steps, title: str) -> str:
+def plan_to_dot(plan: ConversionPlan | MultiStatePlan) -> str:
+    """DOT digraph of a plan: bold edges deterministic, dashed probabilistic."""
     nodes: dict[str, ProbVec] = {}
     edges: list[str] = []
-    for step in steps:
+    for step in plan.steps:
         nodes.setdefault(step.from_name, step.from_state)
         nodes.setdefault(step.to_name, step.to_state)
         if step.kind is StepKind.DETERMINISTIC:
@@ -533,22 +543,9 @@ def _dot_lines(steps, title: str) -> str:
                 edges.append(
                     f'  "{step.from_name}" -> "{step.failure_name}" [style=dashed, label="{flabel}"];'
                 )
-    lines = [f"digraph {title} {{", "  rankdir=LR;"]
+    lines = [f"digraph {plan.protocol.replace('-', '_')} {{", "  rankdir=LR;"]
     for name, state in nodes.items():
         lines.append(f'  "{name}" [label="{name}\\n{state}"];')
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def plan_to_dot(plan: ConversionPlan) -> str:
-    """DOT digraph of a plan: bold edges deterministic, dashed probabilistic."""
-    return _dot_lines(plan.steps, plan.protocol.replace("-", "_"))
-
-
-def multi_target_to_dot(plan: MultiTargetPlan) -> str:
-    return _dot_lines(list(plan.core.steps) + list(plan.tails), "multi_target")
-
-
-def multi_source_to_dot(plan: MultiSourcePlan) -> str:
-    return _dot_lines(list(plan.heads) + list(plan.core.steps), "multi_source")

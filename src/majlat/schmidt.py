@@ -101,7 +101,10 @@ def canonicalize(raw, dim: int | None = None) -> ProbVec:
     ``NotNormalized`` when the total is off by more than eps.
     """
     eps = get_epsilon()
-    arr = np.asarray(list(raw), dtype=float)
+    try:
+        arr = np.asarray(list(raw), dtype=float)
+    except (TypeError, OverflowError):  # e.g. a JSON object, or an integer beyond float range
+        raise ValueError("probabilities must be finite numbers") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d sequence of probabilities")
     if not np.all(np.isfinite(arr)):

@@ -169,9 +169,9 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
 def _check_meet_monotones(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
     """Lemma 1: the meet's monotones are the pointwise max of the inputs'."""
     d = max(p.dim, q.dim)
-    em = np.asarray(monotones(meet(p, q)).values)
-    ep = np.asarray(monotones(p.padded(d)).values)
-    eq = np.asarray(monotones(q.padded(d)).values)
+    em = monotones(meet(p, q))
+    ep = monotones(p.padded(d))
+    eq = monotones(q.padded(d))
     dev = float(np.max(np.abs(em - np.maximum(ep, eq))))
     ok = dev <= EQUALITY_TOL
     return ok, -dev, None if ok else {"check": "meet-monotones", "deviation": dev, **_desc(p, q)}

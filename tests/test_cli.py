@@ -203,6 +203,15 @@ def test_instance_file_with_bad_vector_is_domain_error(tmp_path):
     assert code == 1
 
 
+def test_instance_file_with_out_of_range_integer_is_malformed_input(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vectors": {"a": [10**400, 0], "b": [0.5, 0.5]}}))
+    code, out, err = run_cli("compare", "a", "b", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_random_emits_usable_instance_file(tmp_path):
     code, out, _ = run_cli("random", "--dim", "3", "--count", "2", "--pairs", "1",
                            "--seed", "9")
@@ -292,11 +301,18 @@ def test_epsilon_flag_applies_to_one_call_only():
     assert compare(psi, phi) is MajOrder.INCOMPARABLE
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
 @pytest.mark.parametrize("argv", [
     ("compare", "[NaN,1]", "[1,0]"),
     ("compare", "[Infinity,0]", PHI),
     ("pmax", PSI, "[NaN,0.2,0.2]"),
     ("pmax", "[0.5,-Infinity,0.1]", PHI),
+    ("compare", "[{}, 1]", "[1,0]"),
+    ("compare", f"[{BIG_INT}, 0]", "[1,0]"),
+    ("meet", PSI, f"[0.5, {BIG_INT}, 0.1]"),
+    ("plan", "thrifty", PSI, f"[{BIG_INT}]"),
 ])
 def test_non_finite_vectors_are_malformed_input(argv):
     code, out, err = run_cli(*argv)
@@ -361,9 +377,26 @@ def _state_entry_object(doc):
     doc["steps"][0]["from"]["state"] = [{}, 0.5]
 
 
+def _success_prob_big_int(doc):
+    doc["success_prob"] = 10**400
+
+
+def _state_entry_big_int(doc):
+    doc["steps"][0]["to"]["state"][0] = 10**400
+
+
+def _kraus_entry_big_int(doc):
+    doc["steps"][1]["kraus"]["m_diag"][0] = 10**400
+
+
+def _residual_big_int(doc):
+    doc["residual"][0] = 10**400
+
+
 @pytest.mark.parametrize("tamper", [
     _state_null, _steps_int, _success_prob_null, _from_string, _failure_state_null,
     _kraus_entry_null, _kraus_entry_string, _state_entry_object,
+    _success_prob_big_int, _state_entry_big_int, _kraus_entry_big_int, _residual_big_int,
 ])
 def test_simulate_rejects_wrong_typed_plan_fields(tmp_path, tamper):
     doc = plan_to_dict(plan_thrifty(canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])))

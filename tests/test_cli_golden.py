@@ -24,7 +24,7 @@ import pytest
 
 from majlat import canonicalize, plan_multi_target, plan_thrifty, plan_to_dict
 from majlat.cli import main
-from majlat.protocols import multi_target_to_dict
+from majlat.protocols import multi_plan_to_dict
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 COLUMNS = "80"
@@ -130,7 +130,7 @@ def _write_files(directory: Path) -> None:
             "collections": {"fanout": ["a", "b", "c"]},
         },
         "plan.json": plan_to_dict(plan_thrifty(psi, phi)),
-        "multi.json": multi_target_to_dict(plan_multi_target(psi, [phi, chi])),
+        "multi.json": multi_plan_to_dict(plan_multi_target(psi, [phi, chi])),
         "list.json": [1, 2],
     }
     for name, doc in files.items():

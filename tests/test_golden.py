@@ -29,8 +29,7 @@ from majlat.errors import MajlatError
 from majlat.lattice import join, meet
 from majlat.ladder import ratio_ladder
 from majlat.protocols import (
-    multi_source_to_dict,
-    multi_target_to_dict,
+    multi_plan_to_dict,
     plan_greedy,
     plan_multi_source,
     plan_multi_target,
@@ -131,8 +130,8 @@ def _outputs(case: dict) -> dict:
         "vidal": _plan(lambda: plan_vidal(p, q), plan_to_dict),
         "greedy": _plan(lambda: plan_greedy(p, q), plan_to_dict),
         "thrifty": _plan(lambda: plan_thrifty(p, q), plan_to_dict),
-        "multi-target": _plan(lambda: plan_multi_target(p, [q, *extras]), multi_target_to_dict),
-        "multi-source": _plan(lambda: plan_multi_source([p, *extras], q), multi_source_to_dict),
+        "multi-target": _plan(lambda: plan_multi_target(p, [q, *extras]), multi_plan_to_dict),
+        "multi-source": _plan(lambda: plan_multi_source([p, *extras], q), multi_plan_to_dict),
     }
 
 

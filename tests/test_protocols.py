@@ -19,8 +19,7 @@ from majlat.protocols import (
     StepKind,
     apply_two_outcome,
     kraus_diagonals,
-    multi_source_to_dict,
-    multi_target_to_dict,
+    multi_plan_to_dict,
     plan_from_dict,
     plan_greedy,
     plan_multi_source,
@@ -223,6 +222,13 @@ class TestMultiTarget:
         assert p_max(source, meet_many([source, *targets])) == pytest.approx(
             expected, abs=1e-12
         )
+        assert plan.success_prob == plan.core.success_prob
+        assert plan.heads == () and len(plan.tails) == m
+        assert plan.steps == plan.core.steps + plan.tails
+        paths = plan.paths()
+        assert [path.steps for path in paths] == [plan.core.steps + (t,) for t in plan.tails]
+        for path in paths:
+            validate_plan(path)
 
 
 class TestMultiSource:
@@ -246,11 +252,35 @@ class TestMultiSource:
         plan = plan_multi_source(sources, target)
         expected = min(p_max(s, target) for s in sources)
         assert plan.success_prob == pytest.approx(expected, abs=1e-12)
+        assert plan.success_prob == plan.core.success_prob
+        assert plan.tails == () and len(plan.heads) == m
+        assert plan.steps == plan.heads + plan.core.steps
+        paths = plan.paths()
+        assert [path.steps for path in paths] == [(h,) + plan.core.steps for h in plan.heads]
+        for path in paths:
+            validate_plan(path)
         for head in plan.heads:
             assert compare(head.from_state, head.to_state) in (
                 MajOrder.PRECEDES,
                 MajOrder.EQUIVALENT,
             )
+
+
+@pytest.mark.parametrize("build, field, name", [
+    (lambda vs: plan_multi_target(vs[0], vs[1:]), "tails", "common_resource->target_0"),
+    (lambda vs: plan_multi_source(vs[:-1], vs[-1]), "heads", "source_0->common_product"),
+])
+def test_multi_state_path_with_unreachable_end_fails_validation(worked_pair, build, field, name):
+    plan = build([*worked_pair, canonicalize([0.7, 0.2, 0.1])])
+    for path in plan.paths():
+        validate_plan(path)
+    first, *rest = getattr(plan, field)
+    # a tail cannot end in, and a head cannot start from, a state that breaks majorization
+    end = "to_state" if field == "tails" else "from_state"
+    bad = canonicalize([0.34, 0.33, 0.33] if field == "tails" else [1.0, 0.0, 0.0])
+    tampered = dataclasses.replace(plan, **{field: (dataclasses.replace(first, **{end: bad}), *rest)})
+    with pytest.raises(ValueError, match=f"deterministic step {name} is not allowed"):
+        validate_plan(tampered.paths()[0])
 
 
 # --- cross-protocol properties ---------------------------------------------
@@ -315,10 +345,10 @@ def test_plan_json_round_trip(worked_pair):
 
 def test_multi_plan_dicts(worked_pair):
     p, q = worked_pair
-    mt = multi_target_to_dict(plan_multi_target(p, [q]))
+    mt = multi_plan_to_dict(plan_multi_target(p, [q]))
     assert mt["protocol"] == "multi-target"
     assert len(mt["tails"]) == 1
-    ms = multi_source_to_dict(plan_multi_source([p], q))
+    ms = multi_plan_to_dict(plan_multi_source([p], q))
     assert ms["protocol"] == "multi-source"
     assert len(ms["heads"]) == 1
 
