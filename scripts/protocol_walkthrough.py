@@ -44,8 +44,8 @@ def main():
     ladder = ratio_ladder(source, target)
     print(f"ladder: ratios={ladder.ratios}  block starts={ladder.indices}")
     kraus = kraus_diagonals(ladder)
-    print(f"kraus m={tuple(round(x, 6) for x in kraus.m_diag)}")
-    print(f"      n={tuple(round(x, 6) for x in kraus.n_diag)}")
+    print(f"kraus m={tuple(round(x, 6) for x in kraus.m_diag.tolist())}")
+    print(f"      n={tuple(round(x, 6) for x in kraus.n_diag.tolist())}")
 
     for build in (plan_vidal, plan_greedy, plan_thrifty):
         show_plan(build(source, target))

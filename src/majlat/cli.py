@@ -147,43 +147,56 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instance_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "vectors" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("vectors"), dict):
         raise ValueError(f"{path}: instance file needs a top-level 'vectors' object")
+    for section in ("pairs", "collections"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ValueError(f"{path}: instance file's {section!r} must be an object")
     return doc
+
+
+def _numbers(raw, what: str) -> list:
+    """``raw`` if it is a JSON array of numbers; booleans and numeric strings are not."""
+    if isinstance(raw, list) and all(type(x) in (int, float) for x in raw):
+        return raw
+    raise ValueError(f"{what} must be an array of finite JSON numbers")
 
 
 def _resolve_vector(token: str, instances: dict | None) -> ProbVec:
     token = token.strip()
     if token.startswith("["):
-        return canonicalize(json.loads(token))
+        return canonicalize(_numbers(json.loads(token), f"vector {token}"))
     if instances is None:
         raise ValueError(f"vector name {token!r} given but no --file to resolve it")
     try:
         raw = instances["vectors"][token]
     except KeyError:
         raise ValueError(f"unknown vector name {token!r} in instance file") from None
-    return canonicalize(raw)
+    return canonicalize(_numbers(raw, f"vector {token!r}"))
+
+
+def _listed_names(instances: dict | None, option: str, name: str) -> list[str]:
+    """The vector names an instance file lists under ``--pair`` or ``--collection`` ``name``."""
+    if instances is None:
+        raise ValueError(f"--{option} requires --file")
+    try:
+        names = instances.get(option + "s", {})[name]
+    except KeyError:
+        raise ValueError(f"unknown {option} {name!r} in instance file") from None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"{option} {name!r} must be an array of vector names")
+    return names
 
 
 def _resolve_inputs(args, want: int | None = 2) -> list[ProbVec]:
     """Vectors from positionals, --pair or --collection (plan only)."""
     instances = _load_instance_file(args.file) if getattr(args, "file", None) else None
     names: list[str] = list(args.vectors or [])
-    if getattr(args, "pair", None):
-        if instances is None:
-            raise ValueError("--pair requires --file")
-        try:
-            pair = instances["pairs"][args.pair]
-        except KeyError:
-            raise ValueError(f"unknown pair {args.pair!r} in instance file") from None
-        names = list(pair)
-    elif getattr(args, "collection", None):
-        if instances is None:
-            raise ValueError("--collection requires --file")
-        try:
-            names = list(instances["collections"][args.collection])
-        except KeyError:
-            raise ValueError(f"unknown collection {args.collection!r} in instance file") from None
+    for option in ("pair", "collection"):
+        name = getattr(args, option, None)
+        if name:
+            names = _listed_names(instances, option, name)
+            break
     if want is not None and len(names) != want:
         raise ValueError(f"expected {want} vectors, got {len(names)}")
     if want is None and len(names) < 2:

@@ -3,7 +3,12 @@
 The meet's cumulative sums are the pointwise minimum of the inputs' (its
 increments are automatically sorted, because the minimum of concave curves
 is concave).  The join takes the pointwise maximum, which in general is not
-concave, and repairs it with the least concave majorant before differencing.
+concave, and repairs it with its least concave majorant: in suffix-sum
+space, the lower convex hull of the pointwise minimum.  The join is constant
+on each edge of that hull, its entries being minus the edge slopes, one float
+per edge, as the ladder's ratios are its hull's slopes.  The hull keeps a
+vertex only where the same float differences give a rising slope, so every
+join is exactly non-increasing.
 
 Both operations are evaluated in suffix-sum space: a prefix sum near 1
 carries absolute rounding of order 1e-16, which is catastrophic *relative*
@@ -58,18 +63,10 @@ def least_concave_majorant(values) -> np.ndarray:
     input at hull vertices and interpolate linearly in between.
     """
     t = np.asarray(values, dtype=float)
-    n = t.size
-    if n <= 2:
+    if t.size <= 2:
         return t.copy()
-    hull = _lower_hull(range(n), (-t).tolist())
-    env = np.empty(n)
-    for a, b in zip(hull[:-1], hull[1:]):
-        env[a] = t[a]
-        if b - a > 1:
-            steps = np.arange(1, b - a)
-            env[a + 1 : b] = t[a] + (t[b] - t[a]) * steps / (b - a)
-    env[hull[-1]] = t[hull[-1]]
-    return env
+    hull = _lower_hull(range(t.size), (-t).tolist())
+    return np.interp(np.arange(t.size), hull, t[hull])
 
 
 def _suffix_sums(entries: np.ndarray) -> np.ndarray:
@@ -102,9 +99,10 @@ def _meet(vs) -> ProbVec:
 
 def _join(vs) -> ProbVec:
     lower = np.minimum.reduce(_stacked_suffix_sums(vs))
-    # greatest convex minorant, via the concave majorant of the negation
-    env = -least_concave_majorant(-lower)
-    return _pack(env[:-1] - env[1:])
+    # each entry is minus the slope of the hull edge over it
+    hull = np.array(_lower_hull(range(lower.size), lower.tolist()))
+    widths = np.diff(hull)
+    return _pack(np.repeat(-np.diff(lower[hull]) / widths, widths))
 
 
 def meet(p: ProbVec, q: ProbVec) -> ProbVec:

@@ -1,9 +1,9 @@
 """Dense bipartite state-vector simulator.
 
 Independent cross-check for the analytic machinery: states are kept as full
-d x d amplitude matrices, Schmidt spectra come from singular values, and
-measurements act as explicit matrix products.  Nothing here reuses the
-cumulative-sum or ladder code paths.
+d x d amplitude matrices, Schmidt spectra come from singular values, and a
+diagonal Kraus operator acts by scaling the matrix's rows.  Nothing here
+reuses the cumulative-sum or ladder code paths.
 
 Deterministic plan steps are simulated as direct spectrum replacement (the
 multi-round local protocol realizing them is out of scope); probabilistic
@@ -87,9 +87,9 @@ def schmidt_spectrum(state: BipartiteState) -> ProbVec:
     return ProbVec(np.sort(lam)[::-1])
 
 
-def _branch_spectrum(state: BipartiteState, diag, prob: float) -> ProbVec:
+def _branch_spectrum(state: BipartiteState, diag: np.ndarray, prob: float) -> ProbVec:
     """Schmidt spectrum of the normalized branch diag(k) @ amplitudes / sqrt(prob)."""
-    return schmidt_spectrum(BipartiteState(np.diag(diag) @ state.amplitudes / np.sqrt(prob)))
+    return schmidt_spectrum(BipartiteState(diag[:, None] * state.amplitudes / np.sqrt(prob)))
 
 
 def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[float, float]:
@@ -97,8 +97,8 @@ def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[
     if state.dim != kraus.dim:
         raise ValueError(f"state dimension {state.dim} != Kraus dimension {kraus.dim}")
     a = state.amplitudes
-    p_m = float(np.linalg.norm(np.diag(kraus.m_diag) @ a) ** 2)
-    p_n = float(np.linalg.norm(np.diag(kraus.n_diag) @ a) ** 2)
+    p_m = float(np.linalg.norm(kraus.m_diag[:, None] * a) ** 2)
+    p_n = float(np.linalg.norm(kraus.n_diag[:, None] * a) ** 2)
     return p_m, p_n
 
 

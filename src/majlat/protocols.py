@@ -30,16 +30,39 @@ from .ladder import RatioLadder, _check_ranks, _intermediate, r_vector, ratio_la
 from .schmidt import MajOrder, ProbVec, compare, effective_rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausDiagonals:
-    """Diagonals of the two measurement operators; m^2 + n^2 = 1 entrywise."""
+    """Diagonals of the two measurement operators; m^2 + n^2 = 1 entrywise.
 
-    m_diag: tuple[float, ...]
-    n_diag: tuple[float, ...]
+    Like a ``ProbVec``, each diagonal is stored once as a read-only float64
+    array, copied on construction, so the Born rule and the checks read it
+    without converting it; equality and hashing go by the entries.
+    """
+
+    m_diag: np.ndarray
+    n_diag: np.ndarray
+
+    def __post_init__(self):
+        for name in ("m_diag", "n_diag"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return KrausDiagonals, (self.m_diag, self.n_diag)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.m_diag, other.m_diag)
+                and np.array_equal(self.n_diag, other.n_diag))
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.m_diag.tolist()), tuple(self.n_diag.tolist())))
 
     @property
     def dim(self) -> int:
-        return len(self.m_diag)
+        return self.m_diag.size
 
 
 class StepKind(enum.Enum):
@@ -120,10 +143,7 @@ class TwoOutcomeResult:
 def _kraus(r1: float, rv: np.ndarray) -> KrausDiagonals:
     m_sq = r1 / rv
     n_sq = np.clip(1.0 - m_sq, 0.0, None)
-    return KrausDiagonals(
-        m_diag=tuple(np.sqrt(m_sq).tolist()),
-        n_diag=tuple(np.sqrt(n_sq).tolist()),
-    )
+    return KrausDiagonals(m_diag=np.sqrt(m_sq), n_diag=np.sqrt(n_sq))
 
 
 def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
@@ -437,8 +457,8 @@ def step_to_dict(step: PlanStep) -> dict:
     }
     if step.kind is StepKind.PROBABILISTIC:
         doc["kraus"] = {
-            "m_diag": list(step.kraus.m_diag),
-            "n_diag": list(step.kraus.n_diag),
+            "m_diag": step.kraus.m_diag.tolist(),
+            "n_diag": step.kraus.n_diag.tolist(),
         }
         doc["success_prob"] = step.success_prob
         if step.failure_state is not None:
@@ -451,8 +471,8 @@ def step_from_dict(doc: dict) -> PlanStep:
     kwargs = {}
     if kind is StepKind.PROBABILISTIC:
         kwargs["kraus"] = KrausDiagonals(
-            m_diag=tuple(float(x) for x in doc["kraus"]["m_diag"]),
-            n_diag=tuple(float(x) for x in doc["kraus"]["n_diag"]),
+            m_diag=[float(x) for x in doc["kraus"]["m_diag"]],
+            n_diag=[float(x) for x in doc["kraus"]["n_diag"]],
         )
         kwargs["success_prob"] = float(doc["success_prob"])
         if "failure" in doc:

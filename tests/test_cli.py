@@ -321,6 +321,44 @@ def test_non_finite_vectors_are_malformed_input(argv):
     assert "finite" in err
 
 
+VECTORS = {"a": [0.5, 0.4, 0.1], "b": [0.6, 0.2, 0.2]}
+PAIR = ("compare", "--pair", "w")
+WRONG_TYPED = {  # case -> (instance file, or None for inline vectors; argv)
+    "vectors-list": ({"vectors": [1, 2]}, ("compare", "a", "b")),
+    "pair-number": ({"vectors": VECTORS, "pairs": {"w": 5}}, PAIR),
+    "pair-string": ({"vectors": VECTORS, "pairs": {"w": "ab"}}, PAIR),
+    "pair-number-name": ({"vectors": VECTORS, "pairs": {"w": ["a", 1]}}, PAIR),
+    "pairs-list": ({"vectors": VECTORS, "pairs": [["a", "b"]]}, PAIR),
+    "collection-number": ({"vectors": VECTORS, "collections": {"c": 7}},
+                          ("plan", "multi-target", "--collection", "c")),
+    "file-booleans": ({"vectors": {"a": [True, False], "b": [1, 0]}}, ("compare", "a", "b")),
+    "file-strings": ({"vectors": {"a": ["0.5", "0.5"], "b": [1, 0]}}, ("compare", "a", "b")),
+    "inline-booleans": (None, ("compare", "[true,false]", "[1,0]")),
+    "inline-strings": (None, ("compare", '["0.5","0.5"]', "[1,0]")),
+    "inline-boolean-entry": (None, ("pmax", "[1,0]", "[0.5,false,0.5]")),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPED)
+def test_wrong_typed_vectors_and_names_are_malformed_input(tmp_path, case):
+    instances, argv = WRONG_TYPED[case]
+    if instances is not None:
+        path = tmp_path / "instances.json"
+        path.write_text(json.dumps(instances))
+        argv = (*argv, "--file", str(path))
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_json_integers_are_valid_vector_entries(tmp_path):
+    path = tmp_path / "instances.json"
+    path.write_text(json.dumps({"vectors": {"a": [1, 0], "b": [0.5, 0.5]}}))
+    assert run_json("compare", "a", "b", "--file", str(path)) == {"order": "succeeds"}
+    assert run_json("compare", "[1,0]", "[0.5,0.5]") == {"order": "succeeds"}
+
+
 def test_simulate_rejects_a_plan_file_that_is_not_an_object(tmp_path):
     path = tmp_path / "plan.json"
     path.write_text("[1, 2]")

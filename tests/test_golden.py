@@ -14,6 +14,8 @@ differ in the last bit.
 Regenerate only on purpose, when a change of results is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, per output key, how many cases changed and by how much at most.
 """
 
 from __future__ import annotations
@@ -155,8 +157,13 @@ def test_results_are_bit_identical_to_the_golden_file(index):
 
 
 if __name__ == "__main__":
+    from golden_changes import print_changes
+
     cases = _cases()
     for case in cases:
         case["expected"] = json.loads(json.dumps(_outputs(case)))
+    recorded = [c["expected"] for c in _golden()] if GOLDEN.exists() else []
+    print_changes((key, recorded[i].get(key) if i < len(recorded) else None, value)
+                  for i, case in enumerate(cases) for key, value in case["expected"].items())
     GOLDEN.write_text(json.dumps({"seed": SEED, "cases": cases}) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {GOLDEN}")

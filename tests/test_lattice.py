@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,8 @@ import hypothesis.strategies as st
 
 from majlat.errors import EmptyCollection
 from majlat.lattice import (
+    _lower_hull,
+    _stacked_suffix_sums,
     cumulative_sums,
     join,
     join_many,
@@ -128,6 +132,21 @@ def test_n_ary_operations_equal_the_fold_for_one_and_two_inputs(d):
         assert join_many(vs[:1]) == fold_reference(join, vs[:1]) == vs[0]
         assert meet_many(vs) == fold_reference(meet, vs) == meet(*vs)
         assert join_many(vs) == fold_reference(join, vs) == join(*vs)
+
+
+def test_every_join_is_exactly_sorted_and_constant_on_each_hull_edge():
+    rng = np.random.default_rng(3000)
+    for d, k in itertools.product((3, 8, 64, 512), (2, 4, 8)):
+        for _ in range(20 if d <= 64 else 4):
+            vs = _collection(d, k, rng)
+            lower = np.minimum.reduce(_stacked_suffix_sums(vs))
+            hull = _lower_hull(range(lower.size), lower.tolist())
+            results = [join_many(vs)] + ([join(*vs)] if k == 2 else [])
+            for res in results:
+                arr = res.as_array()
+                assert np.all(np.diff(arr) <= 0.0), (d, k)
+                for a, b in zip(hull, hull[1:]):
+                    assert np.all(arr[a:b] == arr[a]), (d, k, a, b)
 
 
 class TestLeastConcaveMajorant:

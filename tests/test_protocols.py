@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -60,8 +61,8 @@ class TestKrausDiagonals:
     def test_trivial_ladder(self, worked_pair):
         p, _ = worked_pair
         kraus = kraus_diagonals(ratio_ladder(p, p))
-        assert kraus.m_diag == (1.0, 1.0, 1.0)
-        assert kraus.n_diag == (0.0, 0.0, 0.0)
+        assert kraus.m_diag.tolist() == [1.0, 1.0, 1.0]
+        assert kraus.n_diag.tolist() == [0.0, 0.0, 0.0]
 
     @given(prob_vec_pairs())
     def test_completeness_and_monotonicity(self, pair):
@@ -70,6 +71,32 @@ class TestKrausDiagonals:
         n = np.asarray(kraus.n_diag)
         assert np.max(np.abs(m**2 + n**2 - 1.0)) <= 1e-12
         assert np.all(np.diff(m) >= -1e-15)  # non-decreasing
+
+    def test_diagonals_are_copied_read_only_arrays(self):
+        m, n = np.array([1.0, 0.6]), np.array([0.0, 0.8])
+        kraus = KrausDiagonals(m, n)
+        m[0], n[0] = 0.5, 0.5
+        assert kraus.m_diag.tolist() == [1.0, 0.6] and kraus.n_diag.tolist() == [0.0, 0.8]
+        for diag in (kraus.m_diag, kraus.n_diag):
+            assert diag.dtype == np.float64 and not diag.flags.writeable
+            with pytest.raises(ValueError):
+                diag[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kraus.m_diag = m
+
+    def test_equality_and_hash_follow_the_entries(self):
+        a = KrausDiagonals((1.0, 0.6), (0.0, 0.8))
+        b = KrausDiagonals(np.array([1.0, 0.6]), [0.0, 0.8])
+        assert a == b and hash(a) == hash(b)
+        assert a != KrausDiagonals((1.0, 0.8), (0.0, 0.6))
+        assert a != KrausDiagonals((1.0, 0.6, 1.0), (0.0, 0.8, 0.0))
+        assert a != ((1.0, 0.6), (0.0, 0.8))
+
+    def test_pickle_round_trip(self, worked_pair):
+        kraus = kraus_diagonals(ratio_ladder(*worked_pair))
+        back = pickle.loads(pickle.dumps(kraus))
+        assert back == kraus and hash(back) == hash(kraus)
+        assert not back.m_diag.flags.writeable and not back.n_diag.flags.writeable
 
 
 class TestApplyTwoOutcome:

@@ -8,6 +8,8 @@ change of results is intended:
 
     PYTHONPATH=src python tests/test_sweep.py
 
+which prints, per output key, how many cases changed and by how much at most.
+
 The acceptance criteria rest on these checkers, so each property must also
 report failures once the function it checks is broken.
 """
@@ -107,10 +109,24 @@ def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch
     assert outcome.failed >= 1, outcome.to_dict()
 
 
+def _outputs_by_key(doc: dict) -> dict:
+    """Each output of a golden document, keyed by (output key, case)."""
+    outputs = {(f"cli {name}", "cli"): text for name, text in doc["cli"].items()}
+    for case, report in doc["reports"].items():
+        outputs["totals", case] = {k: v for k, v in report.items() if k != "properties"}
+        outputs.update(((p["name"], case), p) for p in report["properties"])
+    return outputs
+
+
 if __name__ == "__main__":
+    from golden_changes import print_changes
+
     doc = {
         "reports": {f"{d}/{s}": _report(d, s) for d, s in SWEEPS},
         "cli": {name: _stdout(argv) for name, argv in CLI_RUNS.items()},
     }
+    recorded = _outputs_by_key(_golden()) if GOLDEN.exists() else {}
+    print_changes((key, recorded.get((key, case)), value)
+                  for (key, case), value in _outputs_by_key(doc).items())
     GOLDEN.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     print(f"wrote {len(doc['reports'])} reports and {len(doc['cli'])} CLI outputs to {GOLDEN}")
