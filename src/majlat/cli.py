@@ -28,6 +28,7 @@ from .lattice import cumulative_sums, join, meet
 from .ladder import p_max, r_vector, ratio_ladder
 from .oracle import run_plan
 from .protocols import (
+    _numbers,
     multi_plan_to_dict,
     plan_from_dict,
     plan_greedy,
@@ -153,13 +154,6 @@ def _load_instance_file(path: str) -> dict:
         if not isinstance(doc.get(section, {}), dict):
             raise ValueError(f"{path}: instance file's {section!r} must be an object")
     return doc
-
-
-def _numbers(raw, what: str) -> list:
-    """``raw`` if it is a JSON array of numbers; booleans and numeric strings are not."""
-    if isinstance(raw, list) and all(type(x) in (int, float) for x in raw):
-        return raw
-    raise ValueError(f"{what} must be an array of finite JSON numbers")
 
 
 def _resolve_vector(token: str, instances: dict | None) -> ProbVec:

@@ -19,12 +19,13 @@ is valid when each of its paths, one head or tail plus the core, passes
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import get_epsilon
-from .errors import DegenerateBranch, RankDeficit
+from .errors import DegenerateBranch, MajlatError, RankDeficit
 from .lattice import _suffix_sums, join, join_many, meet, meet_many
 from .ladder import RatioLadder, _check_ranks, _intermediate, r_vector, ratio_ladder
 from .schmidt import MajOrder, ProbVec, compare, effective_rank
@@ -83,13 +84,29 @@ class PlanStep:
     failure_state: ProbVec | None = None
 
 
+def _last_measurement(steps: tuple[PlanStep, ...]) -> PlanStep | None:
+    return next((s for s in reversed(steps) if s.kind is StepKind.PROBABILISTIC), None)
+
+
 @dataclass(frozen=True)
 class ConversionPlan:
+    """Steps, and the ratio ladder they were built from; the success probability
+    and the residual are read off the steps, so a plan cannot contradict them."""
+
     protocol: str
     steps: tuple[PlanStep, ...]
-    success_prob: float
-    residual: ProbVec | None = None
     ladder: RatioLadder | None = None
+
+    @property
+    def success_prob(self) -> float:
+        """Product of the measurement steps' probabilities in step order; 1.0 without one."""
+        return math.prod((s.success_prob for s in self.steps if s.kind is StepKind.PROBABILISTIC),
+                         start=1.0)
+
+    @property
+    def residual(self) -> ProbVec | None:
+        """Failure state of the last measurement step; None without one."""
+        return None if (last := _last_measurement(self.steps)) is None else last.failure_state
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,7 @@ class MultiStatePlan:
         return self.heads + self.core.steps + self.tails
 
     def paths(self) -> tuple[ConversionPlan, ...]:
-        """One plan per head or tail, with the core's protocol, probability, residual and ladder."""
+        """One plan per head or tail, with the core's protocol and ladder."""
         core = self.core
         return (tuple(replace(core, steps=(head,) + core.steps) for head in self.heads)
                 + tuple(replace(core, steps=core.steps + (tail,)) for tail in self.tails))
@@ -198,20 +215,19 @@ def _vidal(source: ProbVec, target: ProbVec, order: MajOrder,
     src, tgt = ladder.source, ladder.target  # padded to common dimension
     if order in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
         step = PlanStep(StepKind.DETERMINISTIC, source_name, src, target_name, tgt)
-        return ConversionPlan("vidal", (step,), 1.0, residual=None, ladder=ladder)
+        return ConversionPlan("vidal", (step,), ladder)
     rv, chi = _intermediate(ladder)
     kraus = _kraus(ladder.ratios[0], rv)
     outcome = apply_two_outcome(chi, kraus)
-    residual = outcome.require_failure()
     steps = (
         PlanStep(StepKind.DETERMINISTIC, source_name, src, "intermediate", chi),
         PlanStep(
             StepKind.PROBABILISTIC, "intermediate", chi, target_name, tgt,
             kraus=kraus, success_prob=outcome.success_prob,
-            failure_name="residual", failure_state=residual,
+            failure_name="residual", failure_state=outcome.require_failure(),
         ),
     )
-    return ConversionPlan("vidal", steps, outcome.success_prob, residual=residual, ladder=ladder)
+    return ConversionPlan("vidal", steps, ladder)
 
 
 def plan_vidal(source: ProbVec, target: ProbVec, *,
@@ -238,8 +254,7 @@ def plan_greedy(source: ProbVec, target: ProbVec) -> ConversionPlan:
         PlanStep(StepKind.DETERMINISTIC, "common_product", ocp, "intermediate", chi),
         base.steps[1],
     )
-    return ConversionPlan("greedy", steps, base.success_prob,
-                          residual=base.residual, ladder=base.ladder)
+    return ConversionPlan("greedy", steps, base.ladder)
 
 
 def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
@@ -256,8 +271,7 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
         PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr,
                  "target", target.padded(ocr.dim)),
     )
-    return ConversionPlan("thrifty", steps, core.success_prob,
-                          residual=core.residual, ladder=core.ladder)
+    return ConversionPlan("thrifty", steps, core.ladder)
 
 
 def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
@@ -338,7 +352,8 @@ def _gap(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise difference of two rows after zero padding the shorter one."""
     if a.size != b.size:
         a, b = (np.pad(x, (0, max(a.size, b.size) - x.size)) for x in (a, b))
-    return float(np.abs(a - b).max())
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails every comparison
+        return float(np.abs(a - b).max())
 
 
 def validate_plan(plan: ConversionPlan) -> None:
@@ -362,11 +377,7 @@ def validate_plan(plan: ConversionPlan) -> None:
           probability outside (0, 1], has Kraus diagonals that violate
           completeness or whose length differs from its input's, or claims a
           success probability, success state or failure state other than
-          what its Kraus operators give (checked in that order);
-    4. the plan's success probability is not the product of its steps';
-    5. the plan has a residual, and it is not the failure state of the last
-       probabilistic step (zero-padded, within epsilon) or there is no such
-       step.
+          what its Kraus operators give (checked in that order).
     """
     eps = get_epsilon()
     steps = plan.steps
@@ -401,8 +412,6 @@ def validate_plan(plan: ConversionPlan) -> None:
                 margins[i, pair_dim - 1:] = 0.0
         moves_ok = (np.minimum.reduce(margins, axis=1, initial=0.0) >= -eps).tolist()
 
-    prob_product = 1.0
-    failure_step = None
     for i, step in enumerate(steps):
         name = f"{step.from_name}->{step.to_name}"
         if not (canonical[2 * i] and canonical[2 * i + 1]):
@@ -429,17 +438,6 @@ def validate_plan(plan: ConversionPlan) -> None:
                 given = "a branch of probability ~0" if derived is None else _row_vec(derived)
                 raise ValueError(f"step {name} claims the {branch} state {claimed}, "
                                  f"its Kraus operators give {given}")
-        prob_product *= step.success_prob
-        failure_step = step
-    if not abs(plan.success_prob - prob_product) <= eps:
-        raise ValueError("plan success probability != product of step probabilities")
-    if plan.residual is not None:
-        if failure_step is None:
-            raise ValueError("plan has a residual but no probabilistic step")
-        failure = failure_step.failure_state
-        if failure is None or not _gap(plan.residual.as_array(), failure.as_array()) <= eps:
-            raise ValueError(f"plan residual {plan.residual} is not the failure state of step "
-                             f"{failure_step.from_name}->{failure_step.to_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +464,44 @@ def step_to_dict(step: PlanStep) -> dict:
     return doc
 
 
+def _numbers(raw, what: str) -> list:
+    """``raw`` if it is a JSON array of numbers; booleans and numeric strings are not numbers."""
+    if isinstance(raw, list) and all(isinstance(x, (int, float)) and type(x) is not bool
+                                     for x in raw):
+        return raw
+    raise ValueError(f"{what} must be finite JSON numbers")
+
+
+def _number(raw, what: str) -> float:
+    return float(_numbers([raw], what)[0])
+
+
+def _state(raw, what: str) -> ProbVec:
+    return ProbVec(_numbers(raw, what))
+
+
+def _name(raw, what: str) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise ValueError(f"{what} must be a JSON string")
+
+
 def step_from_dict(doc: dict) -> PlanStep:
     kind = StepKind(doc["kind"])
     kwargs = {}
     if kind is StepKind.PROBABILISTIC:
         kwargs["kraus"] = KrausDiagonals(
-            m_diag=[float(x) for x in doc["kraus"]["m_diag"]],
-            n_diag=[float(x) for x in doc["kraus"]["n_diag"]],
+            m_diag=_numbers(doc["kraus"]["m_diag"], "Kraus m_diag"),
+            n_diag=_numbers(doc["kraus"]["n_diag"], "Kraus n_diag"),
         )
-        kwargs["success_prob"] = float(doc["success_prob"])
+        kwargs["success_prob"] = _number(doc["success_prob"], "step success_prob")
         if "failure" in doc:
-            kwargs["failure_name"] = doc["failure"]["name"]
-            kwargs["failure_state"] = ProbVec(doc["failure"]["state"])
+            kwargs["failure_name"] = _name(doc["failure"]["name"], "failure name")
+            kwargs["failure_state"] = _state(doc["failure"]["state"], "failure state")
     return PlanStep(
         kind,
-        doc["from"]["name"], ProbVec(doc["from"]["state"]),
-        doc["to"]["name"], ProbVec(doc["to"]["state"]),
+        _name(doc["from"]["name"], "step name"), _state(doc["from"]["state"], "step state"),
+        _name(doc["to"]["name"], "step name"), _state(doc["to"]["state"], "step state"),
         **kwargs,
     )
 
@@ -496,13 +516,37 @@ def _ladder_to_dict(ladder: RatioLadder) -> dict:
     }
 
 
-def _ladder_from_dict(doc: dict) -> RatioLadder:
-    return RatioLadder(
-        source=ProbVec(doc["source"]),
-        target=ProbVec(doc["target"]),
-        ratios=tuple(float(x) for x in doc["ratios"]),
-        indices=tuple(int(x) for x in doc["indices"]),
+def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
+    """The ladder a plan document gives, once it is checked to be the ratio ladder
+    from the plan's first state to the to-state of one of its steps.
+
+    One of its steps, not its last measurement's: a thrifty plan whose core is
+    deterministic has its ladder's target at step 0.
+    """
+    indices, l0 = doc["indices"], doc["l0"]
+    if not (isinstance(indices, list) and all(type(i) is int for i in indices)
+            and type(l0) is int):
+        raise ValueError("ladder indices and l0 must be JSON integers")
+    ladder = RatioLadder(
+        source=_state(doc["source"], "ladder source"),
+        target=_state(doc["target"], "ladder target"),
+        ratios=tuple(map(float, _numbers(doc["ratios"], "ladder ratios"))),
+        indices=tuple(indices),
     )
+    eps = get_epsilon()
+    if not (steps and _gap(ladder.source.as_array(), steps[0].from_state.as_array()) <= eps):
+        raise ValueError("the ladder's source is not the plan's first state")
+    if not any(_gap(ladder.target.as_array(), s.to_state.as_array()) <= eps for s in steps):
+        raise ValueError("the ladder's target is not the to-state of any step")
+    try:
+        with np.errstate(all="ignore"):  # a ladder of non-finite ratios fails the check below
+            derived = ratio_ladder(ladder.source, ladder.target)
+    except (MajlatError, ZeroDivisionError) as exc:  # the states need not be canonical here
+        raise ValueError(f"the ladder's source and target have no ratio ladder: {exc}") from None
+    if not (ladder.indices == derived.indices and l0 == derived.l0 and ladder.k == derived.k
+            and _gap(np.array(ladder.ratios), np.array(derived.ratios)) <= eps):
+        raise ValueError("the ladder is not the ratio ladder of its source and target")
+    return ladder
 
 
 def plan_to_dict(plan: ConversionPlan) -> dict:
@@ -516,6 +560,16 @@ def plan_to_dict(plan: ConversionPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> ConversionPlan:
+    """Read a plan document, the JSON form of ``plan_to_dict``.
+
+    Numbers must be JSON numbers, not booleans or numeric strings, and names
+    must be strings.  The document's ``success_prob`` and ``residual`` are
+    claims about its steps: the probability must be the product of the steps'
+    within epsilon, and a residual, unless null, the failure state of the last
+    measurement step within epsilon after zero padding.  A ``ladder``, unless
+    null, must be the ratio ladder from the plan's first state to the to-state
+    of one of its steps.  Whether the steps are valid is for ``validate_plan``.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not {type(doc).__name__}")
     if "steps" not in doc:
@@ -524,15 +578,27 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
     residual = doc.get("residual")
     ladder = doc.get("ladder")
     try:
-        return ConversionPlan(
-            protocol=doc["protocol"],
-            steps=tuple(step_from_dict(s) for s in doc["steps"]),
-            success_prob=float(doc["success_prob"]),
-            residual=None if residual is None else ProbVec(residual),
-            ladder=None if ladder is None else _ladder_from_dict(ladder),
+        steps = tuple(step_from_dict(s) for s in doc["steps"])
+        plan = ConversionPlan(
+            protocol=_name(doc["protocol"], "protocol"),
+            steps=steps,
+            ladder=None if ladder is None else _ladder_from_dict(ladder, steps),
         )
+        success_prob = _number(doc["success_prob"], "success_prob")
+        residual = None if residual is None else _state(residual, "residual")
     except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong JSON type or shape
         raise ValueError(f"malformed plan document: {exc}") from None
+    eps = get_epsilon()
+    if not abs(success_prob - plan.success_prob) <= eps:
+        raise ValueError("plan success probability != product of step probabilities")
+    if residual is not None:
+        last = _last_measurement(steps)
+        if last is None:
+            raise ValueError("plan has a residual but no probabilistic step")
+        if plan.residual is None or not _gap(residual.as_array(), plan.residual.as_array()) <= eps:
+            raise ValueError(f"plan residual {residual} is not the failure state of step "
+                             f"{last.from_name}->{last.to_name}")
+    return plan
 
 
 def multi_plan_to_dict(plan: MultiStatePlan) -> dict:

@@ -92,17 +92,16 @@ class MajOrder(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def canonicalize(raw, dim: int | None = None) -> ProbVec:
+def canonicalize(raw) -> ProbVec:
     """Build a canonical ProbVec from raw entries.
 
-    Sorts descending, clamps entries in [-eps, 0) to zero and optionally pads
-    with trailing zeros up to ``dim``.  Raises ``ValueError`` for NaN or
-    infinite entries, ``NegativeEntry`` for entries below -eps and
-    ``NotNormalized`` when the total is off by more than eps.
+    Sorts descending and clamps entries in [-eps, 0) to zero.  Raises
+    ``ValueError`` for NaN or infinite entries, ``NegativeEntry`` for entries
+    below -eps and ``NotNormalized`` when the total is off by more than eps.
     """
     eps = get_epsilon()
     try:
-        arr = np.asarray(list(raw), dtype=float)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, OverflowError):  # e.g. a JSON object, or an integer beyond float range
         raise ValueError("probabilities must be finite numbers") from None
     if arr.ndim != 1 or arr.size == 0:
@@ -115,10 +114,7 @@ def canonicalize(raw, dim: int | None = None) -> ProbVec:
     if abs(total - 1.0) > eps:
         raise NotNormalized(f"entries sum to {total!r}, expected 1 within {eps:g}")
     arr = np.clip(arr, 0.0, None)
-    vec = ProbVec(np.sort(arr)[::-1])
-    if dim is not None:
-        vec = vec.padded(dim)
-    return vec
+    return ProbVec(np.sort(arr)[::-1])
 
 
 def uniform(dim: int) -> ProbVec:

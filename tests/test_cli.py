@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from majlat import canonicalize, compare, config, plan_thrifty, plan_to_dict
+from majlat import (
+    canonicalize,
+    compare,
+    config,
+    plan_greedy,
+    plan_thrifty,
+    plan_to_dict,
+    plan_vidal,
+)
 from majlat.cli import main
 from majlat.schmidt import MajOrder
 
@@ -431,10 +441,53 @@ def _residual_big_int(doc):
     doc["residual"][0] = 10**400
 
 
+def _state_entry_string(doc):
+    doc["steps"][0]["from"]["state"][0] = "0.5"
+
+
+def _success_prob_string(doc):
+    doc["success_prob"] = "0.5"
+
+
+def _step_name_number(doc):
+    doc["steps"][0]["to"]["name"] = 5
+
+
+def _failure_name_number(doc):
+    doc["steps"][1]["failure"]["name"] = 5
+
+
+def _protocol_number(doc):
+    doc["protocol"] = 7
+
+
+def _kraus_entry_boolean(doc):
+    doc["steps"][1]["kraus"]["m_diag"][0] = True
+
+
+def _ladder_ratio_nan(doc):
+    doc["ladder"]["ratios"][0] = float("nan")
+
+
+def _ladder_indices_float(doc):
+    doc["ladder"]["indices"] = [float(i) for i in doc["ladder"]["indices"]]
+
+
+def _ladder_l0_string(doc):
+    doc["ladder"]["l0"] = "x"
+
+
+def _ladder_unrelated_source(doc):
+    doc["ladder"]["source"] = [0.9, 0.05, 0.05]
+
+
 @pytest.mark.parametrize("tamper", [
     _state_null, _steps_int, _success_prob_null, _from_string, _failure_state_null,
     _kraus_entry_null, _kraus_entry_string, _state_entry_object,
     _success_prob_big_int, _state_entry_big_int, _kraus_entry_big_int, _residual_big_int,
+    _state_entry_string, _success_prob_string, _step_name_number, _failure_name_number,
+    _protocol_number, _kraus_entry_boolean, _ladder_ratio_nan, _ladder_indices_float,
+    _ladder_l0_string, _ladder_unrelated_source,
 ])
 def test_simulate_rejects_wrong_typed_plan_fields(tmp_path, tamper):
     doc = plan_to_dict(plan_thrifty(canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])))
@@ -500,6 +553,51 @@ def test_simulate_rejects_a_plan_file_whose_residual_is_not_its_failure_state(tm
     assert code == 2
     assert out == ""
     assert "is not the failure state" in err
+
+
+ODD_VALUES = [None, True, 0, -1, 0.5, 10**400, math.nan, math.inf, "0.5", "x", [], {}]
+DELETE = object()
+
+
+def _fields(node, path=()):
+    """Paths to every value inside a JSON document, the document itself excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if value is DELETE:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+def test_simulate_survives_every_field_of_a_plan_file_set_to_odd_values(tmp_path):
+    """Every field of the emitted vidal, greedy and thrifty plan documents, set to each
+    odd JSON value or deleted: simulate exits 0, 1 or 2, never raises, and reports
+    every failure as an error."""
+    psi, phi = canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])
+    path = tmp_path / "plan.json"
+    codes = []
+    for planner in (plan_vidal, plan_greedy, plan_thrifty):
+        doc = plan_to_dict(planner(psi, phi))
+        for field in _fields(doc):
+            for value in ODD_VALUES + [DELETE]:
+                path.write_text(json.dumps(_mutated(doc, field, value)))
+                code, out, err = run_cli("simulate", "--plan", str(path), "--shots", "10")
+                assert code in (0, 1, 2), (field, value)
+                assert code == 0 or err.startswith("error:"), (field, value, err)
+                codes.append(code)
+    assert 0 in codes and 2 in codes
 
 
 @pytest.mark.parametrize("protocol", ["multi-target", "multi-source"])

@@ -40,6 +40,21 @@ SWEEP = ["sweep", "--dim", "3", "--count", "5", "--seed", "1"]
 SIMULATE = ["simulate", "thrifty", PSI, PHI, "--shots", "500", "--seed", "7"]
 RANDOM = ["random", "--dim", "3", "--count", "2", "--pairs", "1", "--seed", "9"]
 
+PLAN_TAMPERS = {  # file stem -> (path to one field of the thrifty plan document, new value)
+    "string-entry": (("steps", 0, "from", "state", 0), "0.5"),
+    "string-success-prob": (("success_prob",), "0.5"),
+    "number-name": (("steps", 0, "to", "name"), 5),
+    "number-protocol": (("protocol",), 7),
+    "boolean-kraus": (("steps", 1, "kraus", "m_diag", 0), True),
+    "nan-ratio": (("ladder", "ratios", 0), float("nan")),
+    "float-indices": (("ladder", "indices"), [3.0, 1.0]),
+    "string-l0": (("ladder", "l0"), "x"),
+    "unrelated-source": (("ladder", "source"), [0.9, 0.05, 0.05]),
+    "success-prob-off": (("success_prob",), 0.6),
+    "residual-off": (("residual",), [1.0, 0.0, 0.0]),
+}
+
+
 CASES: dict[str, list[str]] = {}
 for _fmt in ("json", "csv"):
     for _cmd in ("compare", "meet", "join", "pmax", "ladder"):
@@ -114,10 +129,25 @@ CASES.update({
     "error-simulate-plan-not-object": ["simulate", "--plan", "list.json"],
     "error-simulate-multi-plan": ["simulate", "--plan", "multi.json"],
     "error-random-dim-zero": ["random", "--dim", "0"],
+    **{f"error-simulate-plan-{stem}": ["simulate", "--plan", f"{stem}.json"]
+       for stem in PLAN_TAMPERS},
     "error-random-count-zero": ["random", "--count", "0"],
     "error-unknown-command": ["frobnicate"],
     "error-no-command": [],
 })
+
+
+def _tampered_plans(doc: dict) -> dict:
+    """Plan files that ``simulate --plan`` rejects, each one field off ``doc``."""
+    files = {}
+    for stem, ((*parents, key), value) in PLAN_TAMPERS.items():
+        tampered = json.loads(json.dumps(doc))
+        holder = tampered
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = value
+        files[f"{stem}.json"] = tampered
+    return files
 
 
 def _write_files(directory: Path) -> None:
@@ -132,6 +162,7 @@ def _write_files(directory: Path) -> None:
         "plan.json": plan_to_dict(plan_thrifty(psi, phi)),
         "multi.json": multi_plan_to_dict(plan_multi_target(psi, [phi, chi])),
         "list.json": [1, 2],
+        **_tampered_plans(plan_to_dict(plan_thrifty(psi, phi))),
     }
     for name, doc in files.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")

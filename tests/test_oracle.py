@@ -215,7 +215,7 @@ SHOT_COUNTS = (1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 15_000)
 def _chain(*plans):
     """One plan that runs the steps of ``plans`` one after another."""
     steps = tuple(s for plan in plans for s in plan.steps)
-    return ConversionPlan("chain", steps, float(np.prod([plan.success_prob for plan in plans])))
+    return ConversionPlan("chain", steps)
 
 
 def _assert_same_as_reference(plan, shots, seed):
@@ -253,10 +253,10 @@ def test_run_plan_counts_a_failure_of_probability_below_epsilon_as_success(worke
     n_diag = np.full(3, 0.3)  # failure probability 0.09 <= epsilon: no failure branch
     kraus = KrausDiagonals(tuple(np.sqrt(1.0 - n_diag**2)), tuple(n_diag))
     step = PlanStep(StepKind.PROBABILISTIC, "a", p, "b", p, kraus, 0.91)
-    assert run_plan(ConversionPlan("h", (step,), 0.91), 2_000, seed=4).successes == 2_000
+    assert run_plan(ConversionPlan("h", (step,)), 2_000, seed=4).successes == 2_000
     for shots in SHOT_COUNTS:
-        _assert_same_as_reference(ConversionPlan("h", (step,), 0.91), shots, shots)
-        _assert_same_as_reference(_chain(ConversionPlan("h", (step,), 0.91), vidal), shots, shots)
+        _assert_same_as_reference(ConversionPlan("h", (step,)), shots, shots)
+        _assert_same_as_reference(_chain(ConversionPlan("h", (step,)), vidal), shots, shots)
 
 
 def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):
@@ -265,7 +265,7 @@ def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):
     p, q = worked_pair
     q4, r4 = q.padded(4), canonicalize([0.55, 0.35, 0.1, 0.0])
     pad = PlanStep(StepKind.DETERMINISTIC, "q", q, "q4", q4)
-    plan = _chain(plan_vidal(p, q), ConversionPlan("pad", (pad,), 1.0), plan_vidal(q4, r4))
+    plan = _chain(plan_vidal(p, q), ConversionPlan("pad", (pad,)), plan_vidal(q4, r4))
     _assert_same_as_reference(plan, 1, 1)  # one shot fails at the first step only
     with pytest.raises(ValueError):
         per_shot_run_plan(plan, 100, 1)

@@ -401,6 +401,7 @@ def test_validate_plan_rejects_bad_deterministic_step(worked_pair):
                     "to": {"name": "target", "state": [0.5, 0.4, 0.1]},
                 }
             ],
+            "ladder": None,  # the plan's ladder, from p, is not one of these steps'
         }
     )
     with pytest.raises(ValueError):
@@ -458,7 +459,7 @@ def test_validate_plan_rejects_a_failure_state_of_a_branch_that_never_happens(wo
     step = PlanStep(StepKind.PROBABILISTIC, "q", q, "q", q,
                     kraus=KrausDiagonals((1.0,) * 3, (0.0,) * 3), success_prob=1.0,
                     failure_name="residual", failure_state=canonicalize([0.5, 0.5, 0.0]))
-    plan = ConversionPlan("vidal", (step,), 1.0)
+    plan = ConversionPlan("vidal", (step,))
     validate_plan(dataclasses.replace(plan, steps=(dataclasses.replace(step, failure_state=None),)))
     with pytest.raises(ValueError, match="probability ~0"):
         validate_plan(plan)
@@ -518,15 +519,13 @@ def _reference_deviation(p, q):
 
 def reference_validate_plan(plan):
     """validate_plan as it was before the stacked-array rewrite: one state and one
-    step at a time through compare, apply_two_outcome and pad_pair.  It does not
-    check the residual."""
+    step at a time through compare, apply_two_outcome and pad_pair."""
     eps = get_epsilon()
     if not plan.steps:
         raise ValueError("plan has no steps")
     for step, after in zip(plan.steps, plan.steps[1:]):
         if not _reference_deviation(step.to_state, after.from_state) <= eps:
             raise ValueError(f"step to {step.to_name} does not lead to step from {after.from_name}")
-    prob_product = 1.0
     for step in plan.steps:
         name = f"{step.from_name}->{step.to_name}"
         for state in (step.from_state, step.to_state):
@@ -555,9 +554,6 @@ def reference_validate_plan(plan):
                 given = "a branch of probability ~0" if derived is None else derived
                 raise ValueError(f"step {name} claims the {branch} state {claimed}, "
                                  f"its Kraus operators give {given}")
-        prob_product *= step.success_prob
-    if not abs(plan.success_prob - prob_product) <= eps:
-        raise ValueError("plan success probability != product of step probabilities")
 
 
 def _outcome(validate, plan):
@@ -686,9 +682,13 @@ TAMPERS = {
 }
 
 
-def _consistent_residual(doc):
-    prob = [s for s in _prob_steps(doc) if "failure" in s]
-    doc["residual"] = copy.deepcopy(prob[-1]["failure"]["state"]) if prob else None
+def _consistent_summary(doc):
+    """Make the document's summary agree with its tampered steps, so that plan_from_dict
+    reads it and validate_plan meets the tampering: the success probability becomes the
+    product of the step claims, and the residual and ladder claims are dropped (no
+    residual claim lies within epsilon of a failure state with a NaN entry)."""
+    doc["success_prob"] = math.prod((s["success_prob"] for s in _prob_steps(doc)), start=1.0)
+    doc["residual"] = doc["ladder"] = None
 
 
 def _seeded_plans(dim, rng):
@@ -708,7 +708,7 @@ def test_validate_plan_matches_the_reference(dim):
         for label, tamper in TAMPERS.items():
             tampered = copy.deepcopy(doc)
             tamper(tampered, rng)
-            _consistent_residual(tampered)
+            _consistent_summary(tampered)
             cases.append((label, tampered))
         for label, case in cases:
             restored = plan_from_dict(case)
@@ -766,27 +766,102 @@ def test_the_probability_message_carries_the_one_dimensional_dot(worked_pair):
 
 
 @pytest.mark.parametrize("residual", [[1.0, 0.0, 0.0], [0.3, 0.3], [0.625, 0.375, 0.5]])
-def test_validate_plan_rejects_a_residual_that_is_not_the_failure_state(worked_pair, residual):
+def test_plan_from_dict_rejects_a_residual_that_is_not_the_failure_state(worked_pair, residual):
     doc = plan_to_dict(plan_thrifty(*worked_pair))
+    doc["residual"] = None  # not claimed
+    assert _reference_outcome(plan_from_dict(doc)) is None  # the per-step checks all pass
     doc["residual"] = residual
-    plan = plan_from_dict(doc)
-    assert _reference_outcome(plan) is None  # the per-step checks all pass
     with pytest.raises(ValueError, match="residual .* is not the failure state of step"):
-        validate_plan(plan)
+        plan_from_dict(doc)
 
 
-def test_validate_plan_rejects_a_residual_without_a_probabilistic_step(worked_pair):
+def test_plan_from_dict_rejects_a_residual_without_a_probabilistic_step(worked_pair):
     p, _ = worked_pair
-    plan = plan_vidal(p, canonicalize([0.7, 0.2, 0.1]))
-    validate_plan(plan)
+    doc = plan_to_dict(plan_vidal(p, canonicalize([0.7, 0.2, 0.1])))
+    validate_plan(plan_from_dict(doc))
+    doc["residual"] = p.as_array().tolist()
     with pytest.raises(ValueError, match="residual but no probabilistic step"):
-        validate_plan(dataclasses.replace(plan, residual=p))
+        plan_from_dict(doc)
 
 
-def test_validate_plan_compares_the_residual_after_zero_padding(worked_pair):
-    plan = plan_thrifty(*worked_pair)
+def test_plan_from_dict_compares_the_residual_after_zero_padding(worked_pair):
+    doc = plan_to_dict(plan_thrifty(*worked_pair))
     eps = get_epsilon()
-    near = ProbVec(tuple(x + 0.5 * eps for x in plan.residual.entries[:2]))
-    validate_plan(dataclasses.replace(plan, residual=near))
+    near = [x + 0.5 * eps for x in doc["residual"][:2]]
+    doc["residual"] = near
+    plan_from_dict(doc)
+    doc["residual"] = near + [2 * eps]
     with pytest.raises(ValueError, match="not the failure state"):
-        validate_plan(dataclasses.replace(plan, residual=ProbVec(near.entries + (2 * eps,))))
+        plan_from_dict(doc)
+
+
+@pytest.mark.parametrize("delta", [2.0, -2.0, math.nan])
+def test_plan_from_dict_rejects_a_success_prob_that_is_not_the_product(worked_pair, delta):
+    doc = plan_to_dict(plan_thrifty(*worked_pair))
+    doc["success_prob"] += 0.5 * get_epsilon()
+    plan_from_dict(doc)
+    doc["success_prob"] += delta * get_epsilon()
+    with pytest.raises(ValueError, match="plan success probability != product"):
+        plan_from_dict(doc)
+
+
+LADDER_TAMPERS = {  # name -> (ladder field, its new value given the emitted ladder)
+    "nan-ratio": ("ratios", lambda ladder: [math.nan] + ladder["ratios"][1:]),
+    "ratio-off": ("ratios", lambda ladder: ladder["ratios"][:-1]
+                  + [ladder["ratios"][-1] + 2 * get_epsilon()]),
+    "extra-ratio": ("ratios", lambda ladder: ladder["ratios"] + ladder["ratios"][-1:]),
+    "float-indices": ("indices", lambda ladder: [float(i) for i in ladder["indices"]]),
+    "wrong-index": ("indices", lambda ladder: [ladder["indices"][0] + 1] + ladder["indices"][1:]),
+    "string-l0": ("l0", lambda ladder: "x"),
+    "l0-off": ("l0", lambda ladder: ladder["l0"] + 1),
+    "unrelated-source": ("source", lambda ladder: [0.9, 0.05, 0.05]),
+    "unrelated-target": ("target", lambda ladder: [0.4, 0.3, 0.3]),
+    "rank-deficit": ("source", lambda ladder: [1.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("tamper", LADDER_TAMPERS)
+def test_plan_from_dict_checks_the_ladder(worked_pair, tamper):
+    doc = plan_to_dict(plan_thrifty(*worked_pair))
+    if tamper == "rank-deficit":  # the plan starts where the ladder does, a state of rank 1
+        doc["steps"][0]["from"]["state"] = [1.0, 0.0, 0.0]
+    field, value = LADDER_TAMPERS[tamper]
+    doc["ladder"][field] = value(doc["ladder"])
+    with pytest.raises(ValueError, match="malformed plan document: .*ladder"):
+        plan_from_dict(doc)
+
+
+def test_the_ladder_target_may_be_any_steps_to_state(worked_pair):
+    """A thrifty plan whose core comes out deterministic has its ladder's target,
+    the common resource, at step 0, and a deterministic step after it."""
+    p, _ = worked_pair
+    target = canonicalize([0.7, 0.2, 0.1])
+    plan = ConversionPlan("thrifty", (
+        PlanStep(StepKind.DETERMINISTIC, "source", p, "common_resource", p),
+        PlanStep(StepKind.DETERMINISTIC, "common_resource", p, "target", target),
+    ), ratio_ladder(p, p))
+    validate_plan(plan)
+    assert plan.steps[-1].to_state != plan.ladder.target
+    assert plan_from_dict(plan_to_dict(plan)) == plan
+
+
+def _emitted_plans(dim, rng):
+    """Single plans of each protocol, and the cores of multi-state plans, on seeded spectra."""
+    vecs = random_prob_vecs(dim, 6, rng)
+    pairs = list(zip(vecs[0::2], vecs[1::2]))
+    if dim >= 3:
+        pairs += random_incomparable_pairs(dim, 2, rng)
+    plans = [planner(p, q) for p, q in pairs for planner in (plan_vidal, plan_greedy, plan_thrifty)]
+    smaller = random_prob_vecs(max(dim - 1, 1), 1, rng)[0]  # a mixed-dimension pair
+    plans += [plan_vidal(vecs[0], smaller), plan_thrifty(vecs[0], smaller)]
+    plans += [plan_multi_target(vecs[0], vecs[1:3]).core, plan_multi_source(vecs[:2], vecs[2]).core]
+    return plans
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64, 512])
+def test_emitted_plans_round_trip_through_the_checked_reader(dim):
+    for plan in _emitted_plans(dim, np.random.default_rng(900 + dim)):
+        doc = plan_to_dict(plan)
+        restored = plan_from_dict(json.loads(json.dumps(doc)))
+        assert restored == plan
+        assert plan_to_dict(restored) == doc

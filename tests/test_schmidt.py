@@ -51,10 +51,10 @@ class TestCanonicalize:
         assert vec.entries[-1] == 0.0
 
     def test_pad_to_dimension(self):
-        vec = canonicalize([0.6, 0.4], dim=4)
+        vec = canonicalize([0.6, 0.4]).padded(4)
         assert vec.entries == (0.6, 0.4, 0.0, 0.0)
         with pytest.raises(ValueError):
-            canonicalize([0.6, 0.4], dim=1)
+            canonicalize([0.6, 0.4]).padded(1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
