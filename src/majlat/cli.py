@@ -28,6 +28,8 @@ from .lattice import cumulative_sums, join, meet
 from .ladder import p_max, r_vector, ratio_ladder
 from .oracle import run_plan
 from .protocols import (
+    ConversionPlan,
+    MultiStatePlan,
     _numbers,
     multi_plan_to_dict,
     plan_from_dict,
@@ -52,12 +54,12 @@ _MULTI_PROTOCOLS = ("multi-target", "multi-source")
 
 
 class _Result(NamedTuple):
-    """What a subcommand returns; ``dot`` is the digraph (``plan`` only)."""
+    """What a subcommand returns; ``plan`` is drawn as DOT when asked (``plan`` only)."""
 
     payload: dict
     rows: list
     code: int = 0
-    dot: str | None = None
+    plan: ConversionPlan | MultiStatePlan | None = None
 
 
 def _int_at_least(text: str, low: int, kind: str) -> int:
@@ -265,7 +267,7 @@ def _cmd_plan(args):
     rows += [[i, step.kind.value, step.from_name, step.to_name,
               "" if step.success_prob is None else step.success_prob]
              for i, step in enumerate(plan.steps)]
-    return _Result(doc, rows, dot=plan_to_dot(plan))
+    return _Result(doc, rows, plan=plan)
 
 
 def _cmd_sweep(args):
@@ -364,7 +366,7 @@ def _run(args) -> int:
         csv.writer(buf, lineterminator="\n").writerows(result.rows)
         text = buf.getvalue()
     else:
-        text = result.dot
+        text = plan_to_dot(result.plan)
 
     output = getattr(args, "output", None)
     if output:

@@ -64,10 +64,10 @@ def _check_ranks(source: ProbVec, target: ProbVec) -> None:
 
 def _min_ratio(es: np.ndarray, et: np.ndarray, eps: float) -> tuple[float, int]:
     """Smallest-index minimizer of es/et over positions with et > eps."""
-    ratios = np.full(et.shape, np.inf)
-    admissible = et > eps
-    ratios[admissible] = es[admissible] / et[admissible]
-    l = int(np.argmin(ratios))
+    ratios = np.empty(et.shape)
+    ratios.fill(np.inf)
+    np.divide(es, et, out=ratios, where=et > eps)
+    l = int(ratios.argmin())
     return min(float(ratios[l]), 1.0), l + 1
 
 

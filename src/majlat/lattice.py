@@ -75,7 +75,7 @@ def _suffix_sums(entries: np.ndarray) -> np.ndarray:
     Taken along the last axis: a ``(k, d)`` stack gives ``(k, d+1)``, one row per vector.
     """
     s = np.zeros(entries.shape[:-1] + (entries.shape[-1] + 1,))
-    s[..., :-1] = np.cumsum(entries[..., ::-1], axis=-1)[..., ::-1]
+    entries[..., ::-1].cumsum(axis=-1, out=s[..., -2::-1])
     return s
 
 
@@ -89,7 +89,7 @@ def _stacked_suffix_sums(vs) -> np.ndarray:
 
 
 def _pack(entries: np.ndarray) -> ProbVec:
-    return ProbVec(np.clip(entries, 0.0, None))
+    return ProbVec(np.maximum(entries, 0.0))  # np.clip(entries, 0.0, None) without its wrapper
 
 
 def _meet(vs) -> ProbVec:
@@ -101,8 +101,9 @@ def _join(vs) -> ProbVec:
     lower = np.minimum.reduce(_stacked_suffix_sums(vs))
     # each entry is minus the slope of the hull edge over it
     hull = np.array(_lower_hull(range(lower.size), lower.tolist()))
-    widths = np.diff(hull)
-    return _pack(np.repeat(-np.diff(lower[hull]) / widths, widths))
+    widths = hull[1:] - hull[:-1]
+    vertices = lower[hull]
+    return _pack((-(vertices[1:] - vertices[:-1]) / widths).repeat(widths))
 
 
 def meet(p: ProbVec, q: ProbVec) -> ProbVec:

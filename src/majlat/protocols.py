@@ -345,7 +345,7 @@ def step_monotone_slack(step: PlanStep) -> float:
         return _suffix_sums(state.padded(d).as_array())[:-1]
 
     e_avg = sum(prob * suffix(out) for prob, out in step_outcomes(step))
-    return float(np.min(suffix(step.from_state) - e_avg))
+    return float((suffix(step.from_state) - e_avg).min())
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -486,24 +486,37 @@ def _name(raw, what: str) -> str:
     raise ValueError(f"{what} must be a JSON string")
 
 
-def step_from_dict(doc: dict) -> PlanStep:
-    kind = StepKind(doc["kind"])
+def _field(doc: dict, key: str, where: str):
+    """``doc[key]``; a missing key is a ValueError that names it and ``where`` it belongs."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise ValueError(f"missing field {key!r} in {where}") from None
+
+
+def step_from_dict(doc: dict, where: str) -> PlanStep:
+    """Read one step document; ``where`` names it in a missing-field error."""
+    kind = StepKind(_field(doc, "kind", where))
     kwargs = {}
     if kind is StepKind.PROBABILISTIC:
+        kraus = _field(doc, "kraus", where)
         kwargs["kraus"] = KrausDiagonals(
-            m_diag=_numbers(doc["kraus"]["m_diag"], "Kraus m_diag"),
-            n_diag=_numbers(doc["kraus"]["n_diag"], "Kraus n_diag"),
+            m_diag=_numbers(_field(kraus, "m_diag", f"{where}.kraus"), "Kraus m_diag"),
+            n_diag=_numbers(_field(kraus, "n_diag", f"{where}.kraus"), "Kraus n_diag"),
         )
-        kwargs["success_prob"] = _number(doc["success_prob"], "step success_prob")
+        kwargs["success_prob"] = _number(_field(doc, "success_prob", where), "step success_prob")
         if "failure" in doc:
-            kwargs["failure_name"] = _name(doc["failure"]["name"], "failure name")
-            kwargs["failure_state"] = _state(doc["failure"]["state"], "failure state")
-    return PlanStep(
-        kind,
-        _name(doc["from"]["name"], "step name"), _state(doc["from"]["state"], "step state"),
-        _name(doc["to"]["name"], "step name"), _state(doc["to"]["state"], "step state"),
-        **kwargs,
-    )
+            failure = doc["failure"]
+            kwargs["failure_name"] = _name(_field(failure, "name", f"{where}.failure"),
+                                           "failure name")
+            kwargs["failure_state"] = _state(_field(failure, "state", f"{where}.failure"),
+                                             "failure state")
+    ends = []  # from-name, from-state, to-name, to-state
+    for end in ("from", "to"):
+        node = _field(doc, end, where)
+        ends += [_name(_field(node, "name", f"{where}.{end}"), "step name"),
+                 _state(_field(node, "state", f"{where}.{end}"), "step state")]
+    return PlanStep(kind, *ends, **kwargs)
 
 
 def _ladder_to_dict(ladder: RatioLadder) -> dict:
@@ -523,14 +536,14 @@ def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
     One of its steps, not its last measurement's: a thrifty plan whose core is
     deterministic has its ladder's target at step 0.
     """
-    indices, l0 = doc["indices"], doc["l0"]
+    indices, l0 = _field(doc, "indices", "the ladder"), _field(doc, "l0", "the ladder")
     if not (isinstance(indices, list) and all(type(i) is int for i in indices)
             and type(l0) is int):
         raise ValueError("ladder indices and l0 must be JSON integers")
     ladder = RatioLadder(
-        source=_state(doc["source"], "ladder source"),
-        target=_state(doc["target"], "ladder target"),
-        ratios=tuple(map(float, _numbers(doc["ratios"], "ladder ratios"))),
+        source=_state(_field(doc, "source", "the ladder"), "ladder source"),
+        target=_state(_field(doc, "target", "the ladder"), "ladder target"),
+        ratios=tuple(map(float, _numbers(_field(doc, "ratios", "the ladder"), "ladder ratios"))),
         indices=tuple(indices),
     )
     eps = get_epsilon()
@@ -568,7 +581,9 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
     within epsilon, and a residual, unless null, the failure state of the last
     measurement step within epsilon after zero padding.  A ``ladder``, unless
     null, must be the ratio ladder from the plan's first state to the to-state
-    of one of its steps.  Whether the steps are valid is for ``validate_plan``.
+    of one of its steps.  A missing required field is reported with the place
+    it belongs, e.g. ``steps[1].kraus``.  Whether the steps are valid is for
+    ``validate_plan``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a plan document is a JSON object, not {type(doc).__name__}")
@@ -578,13 +593,13 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
     residual = doc.get("residual")
     ladder = doc.get("ladder")
     try:
-        steps = tuple(step_from_dict(s) for s in doc["steps"])
+        steps = tuple(step_from_dict(s, f"steps[{i}]") for i, s in enumerate(doc["steps"]))
         plan = ConversionPlan(
-            protocol=_name(doc["protocol"], "protocol"),
+            protocol=_name(_field(doc, "protocol", "the plan"), "protocol"),
             steps=steps,
             ladder=None if ladder is None else _ladder_from_dict(ladder, steps),
         )
-        success_prob = _number(doc["success_prob"], "success_prob")
+        success_prob = _number(_field(doc, "success_prob", "the plan"), "success_prob")
         residual = None if residual is None else _state(residual, "residual")
     except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong JSON type or shape
         raise ValueError(f"malformed plan document: {exc}") from None

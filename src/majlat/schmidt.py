@@ -143,7 +143,7 @@ def partial_sum_margins(p: ProbVec, q: ProbVec) -> np.ndarray:
     (the total sums agree by canonicality, so index d is omitted).
     """
     a, b = pad_pair(p, q)
-    return np.cumsum(b)[:-1] - np.cumsum(a)[:-1]
+    return (b.cumsum() - a.cumsum())[:-1]
 
 
 def majorizes_margin(p: ProbVec, q: ProbVec) -> float:
@@ -156,8 +156,8 @@ def compare(p: ProbVec, q: ProbVec) -> MajOrder:
     """Majorization comparison of two canonical vectors after zero padding."""
     eps = get_epsilon()
     margins = partial_sum_margins(p, q)
-    p_below_q = bool(np.all(margins >= -eps))   # p majorized by q
-    q_below_p = bool(np.all(margins <= eps))
+    p_below_q = bool((margins >= -eps).all())   # p majorized by q
+    q_below_p = bool((margins <= eps).all())
     if p_below_q and q_below_p:
         return MajOrder.EQUIVALENT
     if p_below_q:

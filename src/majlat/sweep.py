@@ -7,12 +7,16 @@ observed (for majorization checks: the most negative partial-sum margin;
 for equalities: minus the absolute deviation), plus a failure record.
 ``run_sweep`` draws every instance from one random pair; properties needing
 incomparable pairs skip comparable draws, so at dimension 2 they report
-zero applicable instances.  The acceptance suite runs the same checkers.
+zero applicable instances.  The checkers of one instance share its pair's
+analysis (order, meet, join, Vidal and thrifty plans), each piece built at
+most once and only when a checker asks for it.  The acceptance suite runs
+the same checkers.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,9 +104,45 @@ def _plan_desc(plan: ConversionPlan) -> dict:
     return _desc(plan.ladder.source, plan.ladder.target)
 
 
-def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None]:
-    m = meet(p, q)
-    j = join(p, q)
+def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest absolute entrywise difference of two arrays of one shape."""
+    return float(np.abs(a - b).max())
+
+
+class _Pair:
+    """One drawn pair and its analysis, each piece built on first use and then kept.
+
+    The pieces are built through this module's names, so a replaced ``meet``
+    or ``plan_vidal`` reaches every checker that reads them.
+    """
+
+    def __init__(self, p: ProbVec, q: ProbVec):
+        self.p, self.q = p, q
+
+    @cached_property
+    def incomparable(self) -> bool:
+        return compare(self.p, self.q) is MajOrder.INCOMPARABLE
+
+    @cached_property
+    def meet(self) -> ProbVec:
+        return meet(self.p, self.q)
+
+    @cached_property
+    def join(self) -> ProbVec:
+        return join(self.p, self.q)
+
+    @cached_property
+    def vidal(self) -> ConversionPlan:
+        return plan_vidal(self.p, self.q)
+
+    @cached_property
+    def thrifty(self) -> ConversionPlan:
+        return plan_thrifty(self.p, self.q)
+
+
+def _check_axioms(p: ProbVec, q: ProbVec, m: ProbVec, j: ProbVec,
+                  rng) -> tuple[bool, float, dict | None]:
+    """Lattice axioms of the pair's meet ``m`` and join ``j``."""
     slacks = [min(majorizes_margin(a, b) for a, b in ((m, p), (m, q), (p, j), (q, j)))]
     ok = slacks[0] >= MARGIN_FLOOR
 
@@ -110,26 +150,26 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
     for left, right, tol in (
         (meet(p, p), p, EQUALITY_TOL),
         (join(p, p), p, EQUALITY_TOL),
-        (meet(p, q), meet(q, p), EQUALITY_TOL),
-        (join(p, q), join(q, p), EQUALITY_TOL),
+        (m, meet(q, p), EQUALITY_TOL),
+        (j, join(q, p), EQUALITY_TOL),
         (meet(p, j), p, get_epsilon()),
         (join(p, m), p, get_epsilon()),
     ):
-        dev = float(np.max(np.abs(left.as_array() - right.as_array())))
+        dev = _max_dev(left.as_array(), right.as_array())
         slacks.append(-dev)
         ok = ok and dev <= tol
 
     # cumulative-sum characterization
-    cp = np.cumsum(p.as_array())
-    cq = np.cumsum(q.as_array())
-    dev = float(np.max(np.abs(np.cumsum(m.as_array()) - np.minimum(cp, cq))))
+    cp = p.as_array().cumsum()
+    cq = q.as_array().cumsum()
+    dev = _max_dev(m.as_array().cumsum(), np.minimum(cp, cq))
     slacks.append(-dev)
     ok = ok and dev <= EQUALITY_TOL
-    cj = np.cumsum(j.as_array())
-    upper_gap = float(np.min(cj - np.maximum(cp, cq)))
+    cj = j.as_array().cumsum()
+    upper_gap = float((cj - np.maximum(cp, cq)).min())
     slacks.append(upper_gap)
     ok = ok and upper_gap >= MARGIN_FLOOR
-    touch = float(np.min(np.abs(cj - np.maximum(cp, cq))))
+    touch = float(np.abs(cj - np.maximum(cp, cq)).min())
     ok = ok and touch <= EQUALITY_TOL  # envelope touches the max somewhere
 
     # defining-property witnesses, each checked only when its premise holds
@@ -153,12 +193,8 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
     triple = [p, q, extra]
     order = rng.permutation(3)
     shuffled = [triple[i] for i in order]
-    dev_meet = float(
-        np.max(np.abs(meet_many(triple).as_array() - meet_many(shuffled).as_array()))
-    )
-    dev_join = float(
-        np.max(np.abs(join_many(triple).as_array() - join_many(shuffled).as_array()))
-    )
+    dev_meet = _max_dev(meet_many(triple).as_array(), meet_many(shuffled).as_array())
+    dev_join = _max_dev(join_many(triple).as_array(), join_many(shuffled).as_array())
     slacks.append(-max(dev_meet, dev_join))
     ok = ok and max(dev_meet, dev_join) == 0.0
 
@@ -166,13 +202,13 @@ def _check_axioms(p: ProbVec, q: ProbVec, rng) -> tuple[bool, float, dict | None
     return ok, min(slacks), detail
 
 
-def _check_meet_monotones(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
-    """Lemma 1: the meet's monotones are the pointwise max of the inputs'."""
+def _check_meet_monotones(p: ProbVec, q: ProbVec, m: ProbVec) -> tuple[bool, float, dict | None]:
+    """Lemma 1: the monotones of the meet ``m`` are the pointwise max of the inputs'."""
     d = max(p.dim, q.dim)
-    em = monotones(meet(p, q))
+    em = monotones(m)
     ep = monotones(p.padded(d))
     eq = monotones(q.padded(d))
-    dev = float(np.max(np.abs(em - np.maximum(ep, eq))))
+    dev = _max_dev(em, np.maximum(ep, eq))
     ok = dev <= EQUALITY_TOL
     return ok, -dev, None if ok else {"check": "meet-monotones", "deviation": dev, **_desc(p, q)}
 
@@ -187,10 +223,10 @@ def _check_hadamard(x: ProbVec, y: ProbVec, a) -> tuple[bool, float, dict | None
     return ok, slack, detail
 
 
-def _check_equal_optimal_prob(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
-    """Theorem 1: the optimal probability to the target equals the one to the meet."""
+def _check_equal_optimal_prob(p: ProbVec, q: ProbVec, m: ProbVec) -> tuple[bool, float, dict | None]:
+    """Theorem 1: the optimal probability to the target equals the one to the meet ``m``."""
     r_direct = ratio_ladder(p, q).ratios[0]
-    r_via_meet = ratio_ladder(p, meet(p, q)).ratios[0]
+    r_via_meet = ratio_ladder(p, m).ratios[0]
     dev = abs(r_direct - r_via_meet)
     ok = dev <= EQUALITY_TOL
     return ok, -dev, None if ok else {"check": "equal-optimal-prob", "deviation": dev, **_desc(p, q)}
@@ -226,48 +262,50 @@ def _check_monotone_soundness(*plans: ConversionPlan) -> tuple[bool, float, dict
     return ok, slack, None if ok else {"check": "monotone-soundness", **_plan_desc(plans[0])}
 
 
-def _check_oracle_match(p: ProbVec, q: ProbVec) -> tuple[bool, float, dict | None]:
-    """Vidal's measurement on the dense simulator matches the analytic one."""
-    measurement = plan_vidal(p, q).steps[1]
+def _check_oracle_match(vidal: ConversionPlan) -> tuple[bool, float, dict | None]:
+    """The measurement of a Vidal plan on the dense simulator matches the analytic one."""
+    measurement = vidal.steps[1]
     chi, kraus = measurement.from_state, measurement.kraus
     analytic = apply_two_outcome(chi, kraus)
     state = embed(chi)
     p_m, p_n = branch_probabilities(state, kraus)
     devs = [abs(p_m - analytic.success_prob), abs(p_m + p_n - 1.0)]
     succ = _branch_spectrum(state, kraus.m_diag, p_m)
-    devs.append(float(np.max(np.abs(succ.as_array() - analytic.success_state.as_array()))))
+    devs.append(_max_dev(succ.as_array(), analytic.success_state.as_array()))
     if analytic.failure_state is not None:
         fail = _branch_spectrum(state, kraus.n_diag, p_n)
-        devs.append(float(np.max(np.abs(fail.as_array() - analytic.failure_state.as_array()))))
+        devs.append(_max_dev(fail.as_array(), analytic.failure_state.as_array()))
     dev = max(devs)
     ok = dev <= ORACLE_TOL
-    return ok, -dev, None if ok else {"check": "oracle-match", "deviation": dev, **_desc(p, q)}
+    return ok, -dev, None if ok else {"check": "oracle-match", "deviation": dev,
+                                      **_plan_desc(vidal)}
 
 
-def _multi_state(p: ProbVec, q: ProbVec, rng):
+def _multi_state(pair: _Pair, rng):
+    p, q = pair.p, pair.q
     extra = int(rng.integers(1, 4))
     targets = [q] + random_prob_vecs(p.dim, extra, rng)
     sources = [p] + random_prob_vecs(p.dim, extra, rng)
     return _check_multi_state(p, targets, sources, q)
 
 
-def _monotone_soundness(p: ProbVec, q: ProbVec, rng):
-    plans = [plan_vidal(p, q)]
-    if compare(p, q) is MajOrder.INCOMPARABLE:
-        plans += [plan_greedy(p, q), plan_thrifty(p, q)]
+def _monotone_soundness(pair: _Pair, rng):
+    plans = [pair.vidal]
+    if pair.incomparable:
+        plans += [plan_greedy(pair.p, pair.q), pair.thrifty]
     return _check_monotone_soundness(*plans)
 
 
-# name -> (needs incomparable pair, check of one drawn (p, q, rng) instance)
+# name -> (needs incomparable pair, check of one drawn instance: its _Pair and the rng)
 CHECKERS = {
-    "axioms": (False, _check_axioms),
-    "meet-monotones": (False, lambda p, q, rng: _check_meet_monotones(p, q)),
-    "hadamard-order": (False, lambda p, q, rng: _check_hadamard(*random_tied_majorization(p.dim, rng))),
-    "equal-optimal-prob": (True, lambda p, q, rng: _check_equal_optimal_prob(p, q)),
-    "residual-order": (True, lambda p, q, rng: _check_residual_order(plan_vidal(p, q), plan_thrifty(p, q))),
+    "axioms": (False, lambda a, rng: _check_axioms(a.p, a.q, a.meet, a.join, rng)),
+    "meet-monotones": (False, lambda a, rng: _check_meet_monotones(a.p, a.q, a.meet)),
+    "hadamard-order": (False, lambda a, rng: _check_hadamard(*random_tied_majorization(a.p.dim, rng))),
+    "equal-optimal-prob": (True, lambda a, rng: _check_equal_optimal_prob(a.p, a.q, a.meet)),
+    "residual-order": (True, lambda a, rng: _check_residual_order(a.vidal, a.thrifty)),
     "multi-state": (False, _multi_state),
     "monotone-soundness": (False, _monotone_soundness),
-    "oracle-match": (True, lambda p, q, rng: _check_oracle_match(p, q)),
+    "oracle-match": (True, lambda a, rng: _check_oracle_match(a.vidal)),
 }
 
 ALIASES = {
@@ -303,13 +341,12 @@ def run_sweep(dim: int, count: int, seed=None, properties=None) -> SweepReport:
     rng = np.random.default_rng(seed)
     outcomes = {name: PropertyOutcome(name) for name in names}
     for _ in range(count):
-        p, q = random_prob_vecs(dim, 2, rng)
-        incomparable = compare(p, q) is MajOrder.INCOMPARABLE
+        pair = _Pair(*random_prob_vecs(dim, 2, rng))
         for name in names:
             needs_incomparable, checker = CHECKERS[name]
-            if needs_incomparable and not incomparable:
+            if needs_incomparable and not pair.incomparable:
                 continue
-            outcomes[name].record(*checker(p, q, rng))
+            outcomes[name].record(*checker(pair, rng))
     return SweepReport(
         dim=dim,
         count=count,

@@ -4,7 +4,8 @@ One test per criterion, each printing a [PASS]/[FAIL] line (run with
 ``pytest -s tests/test_acceptance.py`` to see them).  Instance counts, seeds
 and time budgets are fixed here and are not meant to be tuned.  The paper's
 properties and their tolerances are stated once, as the checkers of
-``majlat.sweep``; criteria 2-5, 7 and 9 only choose the instances.
+``majlat.sweep``; criteria 2-5, 7 and 9 only choose the instances, and build
+each pair's meet or plans once for the checkers that take them.
 """
 
 import io
@@ -159,7 +160,7 @@ def test_criterion_2_optimal_probability_to_meet():
     with criterion(2, "r_1 to target == r_1 to meet, 1e4 incomparable pairs per dim 3..8"):
         start = time.monotonic()
         thm1 = tally("equal-optimal-prob", (
-            _check_equal_optimal_prob(p, q)
+            _check_equal_optimal_prob(p, q, meet(p, q))
             for pairs in incomparable_ensembles().values() for p, q in pairs
         ))
         elapsed = time.monotonic() - start
@@ -178,8 +179,8 @@ def test_criterion_4_monotone_max_and_hadamard():
     with criterion(4, "meet monotones are pointwise max (1e-12); weighted order preserved (1e4 each)"):
         rng = np.random.default_rng(SEED + 1)
         lemma1 = tally("meet-monotones", (
-            _check_meet_monotones(*random_prob_vecs(2 + i % 7, 2, rng))
-            for i in range(10_000)
+            _check_meet_monotones(p, q, meet(p, q))
+            for p, q in (random_prob_vecs(2 + i % 7, 2, rng) for i in range(10_000))
         ))
         lemma2 = tally("hadamard-order", (
             _check_hadamard(*random_tied_majorization(2 + i % 7, rng)) for i in range(10_000)
@@ -218,11 +219,12 @@ def oracle_checks():
     ensembles = incomparable_ensembles()
     for d in DIMS:
         for p, q in ensembles[d][:170]:
-            kraus = plan_vidal(p, q).steps[1].kraus
+            vidal = plan_vidal(p, q)
+            kraus = vidal.steps[1].kraus
             m = np.asarray(kraus.m_diag)
             n = np.asarray(kraus.n_diag)
             assert np.max(np.abs(m**2 + n**2 - 1.0)) <= 1e-12
-            yield _check_oracle_match(p, q)
+            yield _check_oracle_match(vidal)
 
 
 def test_criterion_7_kraus_completeness_and_oracle_equivalence():

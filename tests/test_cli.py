@@ -362,6 +362,33 @@ def test_wrong_typed_vectors_and_names_are_malformed_input(tmp_path, case):
     assert err.startswith("error:")
 
 
+# JSON texts of odd vector entries: null, a boolean, a numeric string, containers,
+# a float literal beyond range, NaN, a negative number and an integer beyond range
+ODD_ENTRIES = ["null", "true", '"0.5"', "[]", "{}", "1e400", "NaN", "-1", BIG_INT]
+VECTOR_COMMANDS = [("compare",), ("meet",), ("join",), ("pmax",), ("ladder",),
+                   ("plan", "thrifty")]
+
+
+@pytest.mark.parametrize("command", VECTOR_COMMANDS, ids=lambda c: c[0])
+def test_every_entry_of_a_vector_argument_survives_odd_values(command):
+    """Each entry of each vector argument, set to each odd JSON value: the command
+    exits 0, 1 or 2, never raises, and reports every failure as an error."""
+    vectors = [json.loads(PSI), json.loads(PHI)]
+    codes = []
+    for v, vector in enumerate(vectors):
+        for i in range(len(vector)):
+            for odd in ODD_ENTRIES:
+                entries = [json.dumps(x) for x in vector]
+                entries[i] = odd
+                argv = [json.dumps(w) for w in vectors]
+                argv[v] = "[" + ",".join(entries) + "]"
+                code, _, err = run_cli(*command, *argv)
+                assert code in (0, 1, 2), (argv, code)
+                assert code == 0 or err.startswith("error:"), (argv, err)
+                codes.append(code)
+    assert 2 in codes
+
+
 def test_json_integers_are_valid_vector_entries(tmp_path):
     path = tmp_path / "instances.json"
     path.write_text(json.dumps({"vectors": {"a": [1, 0], "b": [0.5, 0.5]}}))
@@ -581,10 +608,14 @@ def _mutated(doc, path, value):
     return doc
 
 
+# optional fields, and the one whose absence means "not a single conversion plan"
+NOT_REQUIRED = {"residual", "ladder", "failure", "steps"}
+
+
 def test_simulate_survives_every_field_of_a_plan_file_set_to_odd_values(tmp_path):
     """Every field of the emitted vidal, greedy and thrifty plan documents, set to each
     odd JSON value or deleted: simulate exits 0, 1 or 2, never raises, and reports
-    every failure as an error."""
+    every failure as an error; a deleted required field is named as missing."""
     psi, phi = canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])
     path = tmp_path / "plan.json"
     codes = []
@@ -596,6 +627,9 @@ def test_simulate_survives_every_field_of_a_plan_file_set_to_odd_values(tmp_path
                 code, out, err = run_cli("simulate", "--plan", str(path), "--shots", "10")
                 assert code in (0, 1, 2), (field, value)
                 assert code == 0 or err.startswith("error:"), (field, value, err)
+                if value is DELETE and isinstance(field[-1], str) and field[-1] not in NOT_REQUIRED:
+                    missing = f"error: malformed plan document: missing field {field[-1]!r} in "
+                    assert err.startswith(missing), (field, err)
                 codes.append(code)
     assert 0 in codes and 2 in codes
 

@@ -40,6 +40,7 @@ SWEEP = ["sweep", "--dim", "3", "--count", "5", "--seed", "1"]
 SIMULATE = ["simulate", "thrifty", PSI, PHI, "--shots", "500", "--seed", "7"]
 RANDOM = ["random", "--dim", "3", "--count", "2", "--pairs", "1", "--seed", "9"]
 
+DELETED = object()  # a PLAN_TAMPERS value that removes the field
 PLAN_TAMPERS = {  # file stem -> (path to one field of the thrifty plan document, new value)
     "string-entry": (("steps", 0, "from", "state", 0), "0.5"),
     "string-success-prob": (("success_prob",), "0.5"),
@@ -52,6 +53,12 @@ PLAN_TAMPERS = {  # file stem -> (path to one field of the thrifty plan document
     "unrelated-source": (("ladder", "source"), [0.9, 0.05, 0.05]),
     "success-prob-off": (("success_prob",), 0.6),
     "residual-off": (("residual",), [1.0, 0.0, 0.0]),
+    "missing-l0": (("ladder", "l0"), DELETED),
+    "missing-protocol": (("protocol",), DELETED),
+    "missing-success-prob": (("success_prob",), DELETED),
+    "missing-kind": (("steps", 0, "kind"), DELETED),
+    "missing-kraus": (("steps", 1, "kraus"), DELETED),
+    "missing-state": (("steps", 0, "to", "state"), DELETED),
 }
 
 
@@ -145,7 +152,10 @@ def _tampered_plans(doc: dict) -> dict:
         holder = tampered
         for parent in parents:
             holder = holder[parent]
-        holder[key] = value
+        if value is DELETED:
+            del holder[key]
+        else:
+            holder[key] = value
         files[f"{stem}.json"] = tampered
     return files
 

@@ -19,9 +19,11 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from majlat import protocols, sampling, sweep
@@ -107,6 +109,58 @@ def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch
         monkeypatch.setattr(sweep, attr, broken)
     outcome = sweep.run_sweep(dim, 100, seed=5, properties=[name]).properties[0]
     assert outcome.failed >= 1, outcome.to_dict()
+
+
+# properties -> the next three draws of a Generator(PCG64(2026)) after it ran
+# run_sweep(5, 12, seed=generator, properties=...), as recorded before the checkers
+# shared one analysis per instance
+NEXT_DRAWS = {
+    None: [2834030341, 1609683518, 3063844621],
+    ("hadamard-order",): [38147930, 4063824923, 3702985498],
+    ("residual-order", "multi-state"): [1470165248, 2008756566, 1460931942],
+}
+
+
+@pytest.mark.parametrize("properties", NEXT_DRAWS)
+def test_a_sweep_draws_from_the_callers_generator_as_before(properties):
+    rng = np.random.default_rng(2026)
+    sweep.run_sweep(5, 12, seed=rng, properties=properties and list(properties))
+    assert rng.integers(2**32, size=3).tolist() == NEXT_DRAWS[properties]
+
+
+ANALYSIS = ("compare", "meet", "join", "plan_vidal", "plan_greedy", "plan_thrifty")
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Calls of each ANALYSIS function through the sweep module, by argument objects."""
+    calls = {name: Counter() for name in ANALYSIS}
+    held = []  # keeps the arguments alive, so that their ids stay unique
+
+    def counting(name, fn):
+        def counted(a, b, *rest, **kwargs):
+            held.append((a, b))
+            calls[name][id(a), id(b)] += 1
+            return fn(a, b, *rest, **kwargs)
+        return counted
+
+    for name in ANALYSIS:
+        monkeypatch.setattr(sweep, name, counting(name, getattr(sweep, name)))
+    return calls
+
+
+def test_each_piece_of_a_pairs_analysis_is_built_at_most_once(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    report = sweep.run_sweep(5, 40, seed=8)
+    assert report.total_failures == 0
+    for name in ("meet", "join", "plan_vidal", "plan_thrifty"):
+        assert calls[name], name
+        assert max(calls[name].values()) == 1, (name, calls[name].most_common(1))
+
+
+def test_a_sweep_of_hadamard_order_builds_no_analysis(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    assert sweep.run_sweep(5, 40, seed=8, properties=["hadamard-order"]).total_failures == 0
+    assert {name: sum(c.values()) for name, c in calls.items()} == dict.fromkeys(ANALYSIS, 0)
 
 
 def _outputs_by_key(doc: dict) -> dict:
