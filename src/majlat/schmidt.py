@@ -106,15 +106,16 @@ def canonicalize(raw) -> ProbVec:
         raise ValueError("probabilities must be finite numbers") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d sequence of probabilities")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("probabilities must be finite numbers")
-    if np.any(arr < -eps):
+    if (arr < -eps).any():
         raise NegativeEntry(f"entry {arr.min():.3g} below -epsilon")
     total = float(arr.sum())
     if abs(total - 1.0) > eps:
         raise NotNormalized(f"entries sum to {total!r}, expected 1 within {eps:g}")
-    arr = np.clip(arr, 0.0, None)
-    return ProbVec(np.sort(arr)[::-1])
+    out = np.maximum(arr, 0.0)  # a new array: arr may be the caller's
+    out.sort()
+    return ProbVec(out[::-1])
 
 
 def uniform(dim: int) -> ProbVec:

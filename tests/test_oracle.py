@@ -72,6 +72,67 @@ class TestSchmidtSpectrum:
         with pytest.raises(ValueError):
             BipartiteState(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("amplitudes", [
+        np.array([[1, 0], [0, 1]], dtype=object),
+        np.eye(2, dtype=bool),
+        np.array([["0.6", "0"], ["0", "0.8"]]),
+    ], ids=["object", "bool", "string"])
+    def test_rejects_non_numeric_amplitudes(self, amplitudes):
+        with pytest.raises(ValueError, match="real or complex numbers"):
+            BipartiteState(amplitudes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        amps = np.diag([0.6, 0.8]).astype(type(bad))
+        amps[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BipartiteState(amps)
+
+    @pytest.mark.parametrize("dtype", [float, complex, int])
+    def test_rejects_the_zero_matrix(self, dtype):
+        with pytest.raises(ValueError, match="zero"):
+            BipartiteState(np.zeros((3, 3), dtype=dtype))
+
+    @pytest.mark.parametrize("amplitudes", [
+        np.diag([0.6, 0.8]),
+        np.diag([0.6, 0.8j]),
+        np.array([[3, 0], [0, 4]]),
+    ], ids=["real", "complex", "integer"])
+    def test_accepts_real_and_complex_amplitudes(self, amplitudes):
+        assert schmidt_spectrum(BipartiteState(amplitudes)).entries == pytest.approx(
+            (0.64, 0.36), abs=1e-15
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 64, 512])
+    def test_diagonal_state_gives_its_normalized_squares_exactly(self, dim):
+        rng = np.random.default_rng(dim)
+        for i in range(4 if dim == 512 else 40):
+            p = rng.random(dim)
+            p[dim - i % (dim // 2 + 1):] = 0.0  # up to half the entries trail as zeros
+            x = np.sqrt(p / p.sum())  # the amplitudes embed builds
+            sq = np.sort(x * x)[::-1]
+            got = schmidt_spectrum(BipartiteState(np.diag(x))).as_array()
+            assert np.array_equal(got, sq / sq.sum())
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64, 128])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_spectrum_is_invariant_under_local_rotations(self, dim, field):
+        rng = np.random.default_rng(dim)
+
+        def haar():
+            g = rng.standard_normal((dim, dim))
+            if field is complex:
+                g = g + 1j * rng.standard_normal((dim, dim))
+            return np.linalg.qr(g)[0]
+
+        for rank in sorted({1, max(1, dim // 2), dim}):
+            x = np.zeros(dim)
+            x[:rank] = np.sqrt(rng.dirichlet(np.ones(rank)))
+            want = schmidt_spectrum(BipartiteState(np.diag(x))).as_array()
+            got = schmidt_spectrum(BipartiteState(haar() @ np.diag(x) @ haar().T)).as_array()
+            assert np.abs(got - want).max() <= 1e-12
+            assert (got >= 0.0).all()
+
 
 class TestBranchProbabilities:
     def test_worked_pair_probabilities(self, worked_pair):

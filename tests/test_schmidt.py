@@ -50,6 +50,16 @@ class TestCanonicalize:
         vec = canonicalize([1.0 + 1e-12, -1e-12])
         assert vec.entries[-1] == 0.0
 
+    def test_clamps_negative_zero_to_positive_zero(self):
+        vec = canonicalize([1.0, -0.0])
+        assert not np.signbit(vec.as_array()).any()
+
+    def test_leaves_the_callers_array_alone(self):
+        raw = np.array([0.1, 0.5, -1e-12, 0.4 + 1e-12])
+        kept = raw.copy()
+        assert canonicalize(raw).entries == (0.5, 0.4 + 1e-12, 0.1, 0.0)
+        assert np.array_equal(raw, kept)
+
     def test_pad_to_dimension(self):
         vec = canonicalize([0.6, 0.4]).padded(4)
         assert vec.entries == (0.6, 0.4, 0.0, 0.0)
