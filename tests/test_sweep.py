@@ -3,7 +3,9 @@
 ``sweep_golden.json`` holds ``run_sweep(d, 200, seed=s).to_dict()`` with all
 properties for d in {2, 3, 5, 8} and s in {1, 2}, the stdout of
 ``majlat sweep --dim 4 --count 50 --seed 3`` and of a seeded ``simulate``
-run; the tests compare with ``==``.  Regenerate only on purpose, when a
+run, and the reports of the ``PINNED`` cases (a grid of dimensions and
+counts, property subsets, reordered and duplicated names, aliases and
+``Generator`` seeds); the tests compare with ``==``.  Regenerate only on purpose, when a
 change of results is intended:
 
     PYTHONPATH=src python tests/test_sweep.py
@@ -38,8 +40,34 @@ CLI_RUNS = {
 }
 
 
+# name -> (dim, count, seed, properties); a seed ("generator", n) passes
+# np.random.default_rng(n), so the report shows no seed
+PINNED = {
+    **{f"all {d}x{n}": (d, n, 40 + d + n, None)
+       for d in (2, 3, 4, 6, 16, 64) for n in (1, 6, 37)},
+    **{f"only {name}": (5, 37, 17, [name]) for name in sweep.CHECKERS},
+    "thm1,thm2": (4, 37, 18, ["thm1", "thm2"]),
+    "reordered": (6, 37, 19, ["oracle-match", "multi-state", "axioms", "hadamard-order",
+                              "residual-order", "meet-monotones"]),
+    "duplicated and aliased": (3, 37, 20, ["lemma1", "meet-monotones", "thm3", "lattice",
+                                           "axioms", "oracle-match", "lemma1", "thm2"]),
+    "generator 6x37": (6, 37, ("generator", 21), None),
+    "generator 16x6": (16, 6, ("generator", 22), ["monotone-soundness", "lemma2", "thm1"]),
+}
+
+
+def _seed(seed):
+    return np.random.default_rng(seed[1]) if isinstance(seed, tuple) else seed
+
+
 def _report(dim: int, seed: int) -> dict:
     return json.loads(json.dumps(sweep.run_sweep(dim, 200, seed=seed).to_dict()))
+
+
+def _pinned(name: str) -> dict:
+    dim, count, seed, properties = PINNED[name]
+    report = sweep.run_sweep(dim, count, seed=_seed(seed), properties=properties)
+    return json.loads(json.dumps(report.to_dict()))
 
 
 def _stdout(argv) -> str:
@@ -56,6 +84,11 @@ def _golden() -> dict:
 @pytest.mark.parametrize("dim,seed", SWEEPS)
 def test_sweep_reports_are_identical_to_the_golden_file(dim, seed):
     assert _report(dim, seed) == _golden()["reports"][f"{dim}/{seed}"]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_sweep_reports_are_identical_to_the_golden_file(name):
+    assert _pinned(name) == _golden()["pinned"][name]
 
 
 @pytest.mark.parametrize("name", CLI_RUNS)
@@ -166,7 +199,7 @@ def test_a_sweep_of_hadamard_order_builds_no_analysis(monkeypatch):
 def _outputs_by_key(doc: dict) -> dict:
     """Each output of a golden document, keyed by (output key, case)."""
     outputs = {(f"cli {name}", "cli"): text for name, text in doc["cli"].items()}
-    for case, report in doc["reports"].items():
+    for case, report in [*doc["reports"].items(), *doc.get("pinned", {}).items()]:
         outputs["totals", case] = {k: v for k, v in report.items() if k != "properties"}
         outputs.update(((p["name"], case), p) for p in report["properties"])
     return outputs
@@ -178,9 +211,11 @@ if __name__ == "__main__":
     doc = {
         "reports": {f"{d}/{s}": _report(d, s) for d, s in SWEEPS},
         "cli": {name: _stdout(argv) for name, argv in CLI_RUNS.items()},
+        "pinned": {name: _pinned(name) for name in PINNED},
     }
     recorded = _outputs_by_key(_golden()) if GOLDEN.exists() else {}
     print_changes((key, recorded.get((key, case)), value)
                   for (key, case), value in _outputs_by_key(doc).items())
     GOLDEN.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    print(f"wrote {len(doc['reports'])} reports and {len(doc['cli'])} CLI outputs to {GOLDEN}")
+    print(f"wrote {len(doc['reports']) + len(doc['pinned'])} reports and "
+          f"{len(doc['cli'])} CLI outputs to {GOLDEN}")
