@@ -17,7 +17,7 @@ import numpy as np
 from .config import get_epsilon
 from .errors import RankDeficit
 from .lattice import _lower_hull, _suffix_sums
-from .schmidt import ProbVec, effective_rank, pad_pair
+from .schmidt import ProbVec, pad_pair, rank_rows
 
 
 @dataclass(frozen=True)
@@ -48,27 +48,43 @@ class RatioLadder:
         return self.dim + 1
 
 
+def monotone_rows(entries: np.ndarray) -> np.ndarray:
+    """Monotones E_1..E_d of each row of entries (a row kernel, as in ``schmidt``)."""
+    return _suffix_sums(entries)[..., :-1]
+
+
 def monotones(p: ProbVec) -> np.ndarray:
     """Suffix sums E_l = sum of the entries from position l on, at index l - 1."""
-    return _suffix_sums(p.as_array())[:-1]
+    return monotone_rows(p.as_array())
 
 
-def _check_ranks(source: ProbVec, target: ProbVec) -> None:
-    rs, rt = effective_rank(source), effective_rank(target)
-    if rt > rs:
-        raise RankDeficit(
-            f"target needs {rt} non-zero coefficients but source has {rs}; "
-            "conversion probability is 0"
-        )
+def _check_ranks(sources: np.ndarray, targets: np.ndarray) -> None:
+    """Raise ``RankDeficit`` for the first row whose target has more entries above
+    epsilon than its source."""
+    for rs, rt in zip(rank_rows(sources), rank_rows(targets)):
+        if rt > rs:
+            raise RankDeficit(
+                f"target needs {rt} non-zero coefficients but source has {rs}; "
+                "conversion probability is 0"
+            )
 
 
-def _min_ratio(es: np.ndarray, et: np.ndarray, eps: float) -> tuple[float, int]:
-    """Smallest-index minimizer of es/et over positions with et > eps."""
+def _ratios(es: np.ndarray, et: np.ndarray, eps: float) -> np.ndarray:
+    """es/et at the positions where et > eps, inf elsewhere, and 1 in the last
+    column (where et, the empty suffix sum, is 0), so that each row's minimum is
+    its minimum ratio capped at 1."""
     ratios = np.empty(et.shape)
     ratios.fill(np.inf)
     np.divide(es, et, out=ratios, where=et > eps)
-    l = int(ratios.argmin())
-    return min(float(ratios[l]), 1.0), l + 1
+    ratios[..., -1] = 1.0
+    return ratios
+
+
+def p_max_rows(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``p_max`` of each row of sources to the same row of targets, entries of one length."""
+    _check_ranks(sources, targets)
+    return np.minimum.reduce(_ratios(_suffix_sums(sources), _suffix_sums(targets), get_epsilon()),
+                             axis=-1)
 
 
 def p_max(source: ProbVec, target: ProbVec) -> float:
@@ -78,10 +94,7 @@ def p_max(source: ProbVec, target: ProbVec) -> float:
     deterministic case).  Raises ``RankDeficit`` when the conversion is
     impossible even probabilistically.
     """
-    _check_ranks(source, target)
-    s, t = pad_pair(source, target)
-    r, _ = _min_ratio(_suffix_sums(s), _suffix_sums(t), get_epsilon())
-    return r
+    return float(p_max_rows(*pad_pair(source, target)))
 
 
 def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
@@ -90,11 +103,13 @@ def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
     Rungs after the first are the edges of the lower convex hull of the
     points (E_target(l), E_source(l)), l = l_1..1; their slopes are the ratios.
     """
-    _check_ranks(source, target)
     d = max(source.dim, target.dim)
     source, target = source.padded(d), target.padded(d)
+    _check_ranks(source.as_array(), target.as_array())
     es, et = _suffix_sums(source.as_array()), _suffix_sums(target.as_array())
-    r1, l1 = _min_ratio(es, et, get_epsilon())
+    ratios = _ratios(es, et, get_epsilon())
+    l1 = int(ratios[:-1].argmin()) + 1  # the smallest-index minimizer
+    r1 = float(min(ratios[l1 - 1], ratios[-1]))  # the last column caps it at 1
     es, et = es.tolist(), et.tolist()
     blocks = [l1 - 1 - v for v in _lower_hull(et[l1 - 1 :: -1], es[l1 - 1 :: -1])]
     ratios = [r1] + [(es[b] - es[a]) / (et[b] - et[a]) for a, b in zip(blocks, blocks[1:])]

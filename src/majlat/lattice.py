@@ -79,31 +79,51 @@ def _suffix_sums(entries: np.ndarray) -> np.ndarray:
     return s
 
 
-def _stacked_suffix_sums(vs) -> np.ndarray:
-    """``(k, d+1)`` suffix sums of the inputs, zero-padded to the largest dimension d."""
+def _stacked(vs) -> np.ndarray:
+    """``(k, d)`` entries of the inputs, zero-padded to the largest dimension d."""
     d = max(v.dim for v in vs)
     rows = np.zeros((len(vs), d))
     for i, v in enumerate(vs):
         rows[i, : v.dim] = v.as_array()
-    return _suffix_sums(rows)
+    return rows
 
 
-def _pack(entries: np.ndarray) -> ProbVec:
-    return ProbVec(np.maximum(entries, 0.0))  # np.clip(entries, 0.0, None) without its wrapper
+# Row kernels: a ``(k, d)`` stack of k inputs gives one result, an ``(N, k, d)``
+# stack one result row per group of k.  A group with fewer members may repeat
+# one of them, which leaves the max and the min, hence the result, unchanged.
+
+def meet_rows(stack: np.ndarray) -> np.ndarray:
+    """Entries of the meet of each group: its suffix sums are the pointwise max of theirs."""
+    upper = np.maximum.reduce(_suffix_sums(stack), axis=-2)
+    return np.maximum(upper[..., :-1] - upper[..., 1:], 0.0)
+
+
+def join_rows(stack: np.ndarray) -> np.ndarray:
+    """Entries of the join of each group: minus the slopes of the lower hull of the
+    pointwise min of their suffix sums, each entry that of the edge over it."""
+    lower = np.minimum.reduce(_suffix_sums(stack), axis=-2)
+    width = lower.shape[-1]
+    flat = []  # the hull vertices of all rows, as positions in one flat sequence
+    for row, ys in enumerate(lower.reshape(-1, width).tolist()):
+        hull = _lower_hull(range(width), ys)
+        flat += [row * width + k for k in hull] if row else hull
+    # Each row's hull runs from its column 0 to its column d, so the edge from one
+    # row's last vertex to the next row's first covers just the row's column d,
+    # which is dropped; so does an edge from the last row's to one past the end.
+    flat.append(lower.size)
+    hull = np.array(flat)
+    widths = hull[1:] - hull[:-1]
+    vertices = lower.take(hull, mode="clip")
+    slopes = (-(vertices[1:] - vertices[:-1]) / widths).repeat(widths)
+    return np.maximum(slopes.reshape(lower.shape)[..., :-1], 0.0)
 
 
 def _meet(vs) -> ProbVec:
-    upper = np.maximum.reduce(_stacked_suffix_sums(vs))
-    return _pack(upper[:-1] - upper[1:])
+    return ProbVec(meet_rows(_stacked(vs)))
 
 
 def _join(vs) -> ProbVec:
-    lower = np.minimum.reduce(_stacked_suffix_sums(vs))
-    # each entry is minus the slope of the hull edge over it
-    hull = np.array(_lower_hull(range(lower.size), lower.tolist()))
-    widths = hull[1:] - hull[:-1]
-    vertices = lower[hull]
-    return _pack((-(vertices[1:] - vertices[:-1]) / widths).repeat(widths))
+    return ProbVec(join_rows(_stacked(vs)))
 
 
 def meet(p: ProbVec, q: ProbVec) -> ProbVec:

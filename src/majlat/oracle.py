@@ -12,17 +12,20 @@ steps are sampled from exact branch probabilities.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import get_epsilon
+from .errors import NotNormalized
 from .protocols import ConversionPlan, KrausDiagonals, StepKind, validate_plan
 from .schmidt import ProbVec
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 _BLOCK = 8192  # uniforms per draw and floats per summed chunk
+_UNIT_BITS = 64  # amplitude peaks within 2**-64 .. 2**64 are squared as they are
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,14 @@ class BipartiteState:
 
     The amplitudes are real or complex numbers, all finite and not all zero;
     anything else raises ``ValueError``.  The matrix is copied and read-only.
+    Any scale is accepted: where the largest real or imaginary part is far
+    from 1, ``exponent`` records its power of two, and the spectrum is taken
+    from the matrix scaled by 2**-exponent, so that its squares neither
+    underflow nor overflow.
     """
 
     amplitudes: np.ndarray
+    exponent: int = field(init=False, default=0, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.amplitudes)
@@ -41,13 +49,18 @@ class BipartiteState:
             raise ValueError("amplitude matrix must be square")
         if arr.dtype.kind not in "iufc":
             raise ValueError(f"amplitudes must be real or complex numbers, not {arr.dtype}")
-        if not np.isfinite(arr).all():
+        arr = np.array(arr, order="C")
+        # the largest magnitude of a real or imaginary part; NaN if any is NaN
+        parts = arr.view(arr.real.dtype) if arr.dtype.kind == "c" else arr
+        peak = max(float(parts.max()), -float(parts.min())) if arr.size else 0.0
+        if not math.isfinite(peak):
             raise ValueError("amplitudes must be finite")
-        if not arr.any():
+        if peak == 0.0:
             raise ValueError("amplitude matrix must not be zero")
-        arr = arr.copy()
+        exponent = math.frexp(peak)[1]
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "exponent", exponent if abs(exponent) > _UNIT_BITS else 0)
 
     @property
     def dim(self) -> int:
@@ -98,6 +111,9 @@ def schmidt_spectrum(state: BipartiteState) -> ProbVec:
     below zero; it is clamped to zero.  The sum runs in descending order.
     """
     a = state.amplitudes
+    if state.exponent:  # two exact power-of-two factors, neither of which overflows
+        half = state.exponent // 2
+        a = a * 2.0 ** -half * 2.0 ** (half - state.exponent)
     lam = np.maximum(np.linalg.eigvalsh(a @ a.conj().T), 0.0)[::-1]
     return ProbVec(lam / lam.sum())
 
@@ -108,9 +124,16 @@ def _branch_spectrum(state: BipartiteState, diag: np.ndarray, prob: float) -> Pr
 
 
 def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[float, float]:
-    """Exact probabilities of the two measurement outcomes."""
+    """Exact probabilities of the two measurement outcomes of a normalized state.
+
+    Raises ``NotNormalized`` when the state's squared norm is off 1 by more than epsilon.
+    """
     if state.dim != kraus.dim:
         raise ValueError(f"state dimension {state.dim} != Kraus dimension {kraus.dim}")
+    # a state far from unit scale is far from normalized, and its squared norm may overflow
+    if state.exponent or not abs(state.norm() ** 2 - 1.0) <= get_epsilon():
+        raise NotNormalized("state is not normalized: its squared norm is off 1 by more "
+                            f"than {get_epsilon():g}")
     a = state.amplitudes
     p_m = float(np.linalg.norm(kraus.m_diag[:, None] * a) ** 2)
     p_n = float(np.linalg.norm(kraus.n_diag[:, None] * a) ** 2)

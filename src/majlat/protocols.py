@@ -26,9 +26,10 @@ import numpy as np
 
 from .config import get_epsilon
 from .errors import DegenerateBranch, MajlatError, RankDeficit
-from .lattice import _suffix_sums, join, join_many, meet, meet_many
-from .ladder import RatioLadder, _check_ranks, _intermediate, r_vector, ratio_ladder
-from .schmidt import MajOrder, ProbVec, compare, effective_rank
+from .lattice import join, join_many, meet, meet_many
+from .ladder import (RatioLadder, _check_ranks, _intermediate, monotone_rows, r_vector,
+                     ratio_ladder)
+from .schmidt import MajOrder, ProbVec, compare, effective_rank, max_deviation
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +262,7 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
     """Probabilistic phase first: measure down to the common resource, then
     convert deterministically.  Same success probability as the greedy plan,
     but the failure residual is more entangled (majorized by the greedy one)."""
-    _check_ranks(source, target)
+    _check_ranks(source.as_array(), target.as_array())
     order = compare(source, target)
     if order is not MajOrder.INCOMPARABLE:
         return _vidal(source, target, order)
@@ -333,27 +334,40 @@ def step_outcomes(step: PlanStep) -> list[tuple[float, ProbVec]]:
     return outs
 
 
-def step_monotone_slack(step: PlanStep) -> float:
-    """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l.
+def _step_slack_rows(from_rows: np.ndarray, outcomes) -> np.ndarray:
+    """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, row by row.
+
+    ``outcomes`` holds one (probabilities, rows) pair per outcome, the
+    probabilities as an ``(N, 1)`` column for ``(N, d)`` rows.
+    """
+    e_avg = sum(prob * monotone_rows(out) for prob, out in outcomes)
+    return (monotone_rows(from_rows) - e_avg).min(axis=-1)
+
+
+def step_monotone_slacks(steps) -> list[float]:
+    """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, for each step.
 
     Non-negative (within tolerance) for any physically allowed step: the
-    suffix-sum monotones cannot increase on average.
+    suffix-sum monotones cannot increase on average.  The states of a step are
+    padded to its largest dimension, and steps alike in dimension and number
+    of outcomes are evaluated together, as one stack of rows.
     """
-    d = max([step.from_state.dim] + [out.dim for _, out in step_outcomes(step)])
+    groups: dict[tuple[int, int], list[int]] = {}
+    outcomes = [step_outcomes(step) for step in steps]
+    for i, (step, outs) in enumerate(zip(steps, outcomes)):
+        d = max([step.from_state.dim] + [out.dim for _, out in outs])
+        groups.setdefault((d, len(outs)), []).append(i)
+    slacks = [0.0] * len(steps)
+    for (d, n_outs), members in groups.items():
+        def rows(states):
+            return np.array([s.padded(d).as_array() for s in states])
 
-    def suffix(state: ProbVec) -> np.ndarray:
-        return _suffix_sums(state.padded(d).as_array())[:-1]
-
-    e_avg = sum(prob * suffix(out) for prob, out in step_outcomes(step))
-    return float((suffix(step.from_state) - e_avg).min())
-
-
-def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise difference of two rows after zero padding the shorter one."""
-    if a.size != b.size:
-        a, b = (np.pad(x, (0, max(a.size, b.size) - x.size)) for x in (a, b))
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails every comparison
-        return float(np.abs(a - b).max())
+        stacked = [(np.array([[outcomes[i][o][0]] for i in members]),
+                    rows([outcomes[i][o][1] for i in members])) for o in range(n_outs)]
+        group = _step_slack_rows(rows([steps[i].from_state for i in members]), stacked)
+        for i, slack in zip(members, group.tolist()):
+            slacks[i] = slack
+    return slacks
 
 
 def validate_plan(plan: ConversionPlan) -> None:
@@ -391,7 +405,7 @@ def validate_plan(plan: ConversionPlan) -> None:
         rows[r, : state.dim] = state.as_array()
     with np.errstate(all="ignore"):  # non-finite entries fail the checks, silently
         if len(steps) > 1:
-            gaps = np.maximum.reduce(np.abs(rows[1:-1:2] - rows[2::2]), axis=1)
+            gaps = max_deviation(rows[1:-1:2], rows[2::2])
             for i, ok in enumerate((gaps <= eps).tolist()):
                 if not ok:
                     raise ValueError(f"step to {steps[i].to_name} does not lead to step from "
@@ -434,7 +448,7 @@ def validate_plan(plan: ConversionPlan) -> None:
         for branch, claimed, derived in (("success", step.to_state, success),
                                          ("failure", step.failure_state, failure)):
             if claimed is not None and (derived is None
-                                        or not _gap(claimed.as_array(), derived) <= eps):
+                                        or not max_deviation(claimed.as_array(), derived) <= eps):
                 given = "a branch of probability ~0" if derived is None else _row_vec(derived)
                 raise ValueError(f"step {name} claims the {branch} state {claimed}, "
                                  f"its Kraus operators give {given}")
@@ -547,9 +561,11 @@ def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
         indices=tuple(indices),
     )
     eps = get_epsilon()
-    if not (steps and _gap(ladder.source.as_array(), steps[0].from_state.as_array()) <= eps):
+    source = ladder.source.as_array()
+    if not (steps and max_deviation(source, steps[0].from_state.as_array()) <= eps):
         raise ValueError("the ladder's source is not the plan's first state")
-    if not any(_gap(ladder.target.as_array(), s.to_state.as_array()) <= eps for s in steps):
+    target = ladder.target.as_array()
+    if not any(max_deviation(target, s.to_state.as_array()) <= eps for s in steps):
         raise ValueError("the ladder's target is not the to-state of any step")
     try:
         with np.errstate(all="ignore"):  # a ladder of non-finite ratios fails the check below
@@ -557,7 +573,7 @@ def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
     except (MajlatError, ZeroDivisionError) as exc:  # the states need not be canonical here
         raise ValueError(f"the ladder's source and target have no ratio ladder: {exc}") from None
     if not (ladder.indices == derived.indices and l0 == derived.l0 and ladder.k == derived.k
-            and _gap(np.array(ladder.ratios), np.array(derived.ratios)) <= eps):
+            and max_deviation(np.array(ladder.ratios), np.array(derived.ratios)) <= eps):
         raise ValueError("the ladder is not the ratio ladder of its source and target")
     return ladder
 
@@ -610,7 +626,8 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
         last = _last_measurement(steps)
         if last is None:
             raise ValueError("plan has a residual but no probabilistic step")
-        if plan.residual is None or not _gap(residual.as_array(), plan.residual.as_array()) <= eps:
+        if (plan.residual is None
+                or not max_deviation(residual.as_array(), plan.residual.as_array()) <= eps):
             raise ValueError(f"plan residual {residual} is not the failure state of step "
                              f"{last.from_name}->{last.to_name}")
     return plan

@@ -40,38 +40,61 @@ def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, 
     return pairs
 
 
+def transfer_draws(dim: int, rng, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (index, uniform) draws of ``steps`` transfers on a ``dim``-vector, as two
+    ``(steps,)`` arrays, in the order the transfers take them; none below dimension 2."""
+    rng = np.random.default_rng(rng)
+    draws = [(int(rng.integers(dim - 1)), rng.random()) for _ in range(steps if dim >= 2 else 0)]
+    return (np.array([i for i, _ in draws], dtype=np.intp),
+            np.array([u for _, u in draws], dtype=np.float64))
+
+
+def robin_hood_rows(rows: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Apply drawn transfers to each of the ``(N, d)`` rows, with ``(N, steps)`` draws.
+
+    Each step moves mass from entry i to entry i+1, at most half of their gap,
+    so a sorted row stays sorted and is majorized by the input.
+    """
+    out = rows.copy()
+    r = np.arange(len(out))
+    for i, u in zip(index.T, uniforms.T):
+        a, b = out[r, i], out[r, i + 1]
+        delta = u * (a - b) / 2.0
+        out[r, i] = a - delta
+        out[r, i + 1] = b + delta
+    return out
+
+
+def sharpening_rows(rows: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Apply drawn transfers to each of the ``(N, d)`` rows, with ``(N, steps)`` draws.
+
+    Each step moves mass from entry i+1 to entry i and sorts the row again.
+    """
+    out = rows.copy()
+    r = np.arange(len(out))
+    for i, u in zip(index.T, uniforms.T):
+        a, b = out[r, i], out[r, i + 1]
+        delta = u * b
+        out[r, i] = a + delta
+        out[r, i + 1] = b - delta
+        out = np.sort(out, axis=1)[:, ::-1]
+    return out
+
+
 def robin_hood_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
     """More disordered witness: move mass from a larger to a smaller entry.
 
     Each step transfers at most half of an adjacent gap, so the vector stays
     sorted and is majorized by the input.
     """
-    rng = np.random.default_rng(rng)
-    arr = p.as_array().copy()
-    for _ in range(steps):
-        if arr.size < 2:
-            break
-        i = int(rng.integers(arr.size - 1))
-        gap = arr[i] - arr[i + 1]
-        delta = rng.random() * gap / 2.0
-        arr[i] -= delta
-        arr[i + 1] += delta
-    return ProbVec(arr)
+    index, uniforms = transfer_draws(p.dim, rng, steps)
+    return ProbVec(robin_hood_rows(p.as_array()[None], index[None], uniforms[None])[0])
 
 
 def sharpening_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
     """More ordered witness: move mass from a smaller to a larger entry."""
-    rng = np.random.default_rng(rng)
-    arr = p.as_array().copy()
-    for _ in range(steps):
-        if arr.size < 2:
-            break
-        i = int(rng.integers(arr.size - 1))
-        delta = rng.random() * arr[i + 1]
-        arr[i] += delta
-        arr[i + 1] -= delta
-        arr = np.sort(arr)[::-1]
-    return ProbVec(arr)
+    index, uniforms = transfer_draws(p.dim, rng, steps)
+    return ProbVec(sharpening_rows(p.as_array()[None], index[None], uniforms[None])[0])
 
 
 def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[float, ...]]:

@@ -127,8 +127,7 @@ def uniform(dim: int) -> ProbVec:
 
 def effective_rank(p: ProbVec) -> int:
     """Number of entries above the tolerance (non-vanishing Schmidt coefficients)."""
-    eps = get_epsilon()
-    return int(np.count_nonzero(p.as_array() > eps))
+    return rank_rows(p.as_array())[0]
 
 
 def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:
@@ -137,28 +136,65 @@ def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:
     return p.padded(d).as_array(), q.padded(d).as_array()
 
 
+# Row kernels: each takes entries along the last axis, so one (d,) array or an
+# (N, d) stack of N rows, and is the one copy of its arithmetic; the functions
+# on vectors call it on their entries.
+
+def rank_rows(rows: np.ndarray) -> list[int]:
+    """Number of entries above epsilon, one int per row, rows in order."""
+    above = rows > get_epsilon()
+    if above.ndim == 1:  # without an axis, count_nonzero is several times faster
+        return [np.count_nonzero(above)]
+    return np.count_nonzero(above, axis=-1).ravel().tolist()
+
+
+def margin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Margins cumsum(b)_k - cumsum(a)_k for k = 1..d-1, row by row."""
+    return (b.cumsum(axis=-1) - a.cumsum(axis=-1))[..., :-1]
+
+
+def min_margin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Most negative margin of "a majorized by b", row by row (0 where d = 1)."""
+    m = margin_rows(a, b)
+    return m.min(axis=-1) if m.shape[-1] else np.zeros(m.shape[:-1])
+
+
+def below_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether a is majorized by b, and whether b by a, within epsilon, row by row."""
+    eps = get_epsilon()
+    m = margin_rows(a, b)
+    return (m >= -eps).all(axis=-1), (m <= eps).all(axis=-1)
+
+
+def max_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Largest absolute entrywise difference, row by row, after zero padding the shorter.
+
+    NaN where a difference is NaN (inf - inf gives one), so every ``<= tol`` test fails.
+    """
+    if a.shape[-1] != b.shape[-1]:
+        width = max(a.shape[-1], b.shape[-1])
+        a, b = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, width - x.shape[-1])]) for x in (a, b))
+    with np.errstate(invalid="ignore"):
+        return np.abs(a - b).max(axis=-1)
+
+
 def partial_sum_margins(p: ProbVec, q: ProbVec) -> np.ndarray:
     """Margins cumsum(q)_k - cumsum(p)_k for k = 1..d-1.
 
     All margins >= -eps is exactly the condition "p is majorized by q"
     (the total sums agree by canonicality, so index d is omitted).
     """
-    a, b = pad_pair(p, q)
-    return (b.cumsum() - a.cumsum())[:-1]
+    return margin_rows(*pad_pair(p, q))
 
 
 def majorizes_margin(p: ProbVec, q: ProbVec) -> float:
     """Most negative partial-sum margin of "p majorized by q" (>= -eps means it holds)."""
-    m = partial_sum_margins(p, q)
-    return float(m.min()) if m.size else 0.0
+    return float(min_margin_rows(*pad_pair(p, q)))
 
 
 def compare(p: ProbVec, q: ProbVec) -> MajOrder:
     """Majorization comparison of two canonical vectors after zero padding."""
-    eps = get_epsilon()
-    margins = partial_sum_margins(p, q)
-    p_below_q = bool((margins >= -eps).all())   # p majorized by q
-    q_below_p = bool((margins <= eps).all())
+    p_below_q, q_below_p = below_rows(*pad_pair(p, q))
     if p_below_q and q_below_p:
         return MajOrder.EQUIVALENT
     if p_below_q:

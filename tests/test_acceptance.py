@@ -4,8 +4,9 @@ One test per criterion, each printing a [PASS]/[FAIL] line (run with
 ``pytest -s tests/test_acceptance.py`` to see them).  Instance counts, seeds
 and time budgets are fixed here and are not meant to be tuned.  The paper's
 properties and their tolerances are stated once, as the checkers of
-``majlat.sweep``; criteria 2-5, 7 and 9 only choose the instances, and build
-each pair's meet or plans once for the checkers that take them.
+``majlat.sweep``; criteria 2-5, 7 and 9 only choose the instances and hand
+them to the checkers in batches: pairs as ``(N, d)`` stacks of rows with
+their meets, and each pair's plans, built once, as lists.
 """
 
 import io
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from majlat.cli import main as cli_main
-from majlat.lattice import join_many, meet
+from majlat.lattice import join_many, meet, meet_rows
 from majlat.ladder import p_max, ratio_ladder
 from majlat.oracle import run_plan
 from majlat.protocols import kraus_diagonals, plan_thrifty, plan_vidal
@@ -39,6 +40,7 @@ from majlat.sweep import (
     _check_multi_state,
     _check_oracle_match,
     _check_residual_order,
+    _tied_rows,
     run_sweep,
 )
 
@@ -69,20 +71,37 @@ def tally(name: str, results) -> PropertyOutcome:
     return outcome
 
 
+def by_dim(instances, dim=lambda instance: instance[0].dim) -> list:
+    """The instances in groups of one dimension each, as the batched checkers take them."""
+    groups: dict = {}
+    for instance in instances:
+        groups.setdefault(dim(instance), []).append(instance)
+    return list(groups.values())
+
+
+def pair_rows(pairs):
+    """``(N, d)`` rows of the pairs' first and second vectors, and of their meets."""
+    rows = np.array([(p.as_array(), q.as_array()) for p, q in pairs])
+    return rows[:, 0], rows[:, 1], meet_rows(rows)
+
+
 def protocol_scan():
     """Theorem 2 and step soundness over the shared ensembles (criteria 3 and 9).
 
-    Each pair's Vidal and thrifty plans are built once and handed to both checkers.
+    Each pair's Vidal and thrifty plans are built once and handed to both
+    checkers, a thousand pairs at a time.
     """
     if "scan" not in _cache:
         thm2 = PropertyOutcome("residual-order")
         steps = PropertyOutcome("monotone-soundness")
         for pairs in incomparable_ensembles().values():
-            for p, q in pairs:
-                greedy = plan_vidal(p, q)
-                thrifty = plan_thrifty(p, q)
-                thm2.record(*_check_residual_order(greedy, thrifty))
-                steps.record(*_check_monotone_soundness(greedy, thrifty))
+            for start in range(0, len(pairs), 1_000):
+                greedy = [plan_vidal(p, q) for p, q in pairs[start:start + 1_000]]
+                thrifty = [plan_thrifty(p, q) for p, q in pairs[start:start + 1_000]]
+                for result in _check_residual_order(greedy, thrifty):
+                    thm2.record(*result)
+                for result in _check_monotone_soundness(list(zip(greedy, thrifty))):
+                    steps.record(*result)
         _cache["scan"] = (thm2, steps)
     return _cache["scan"]
 
@@ -160,8 +179,8 @@ def test_criterion_2_optimal_probability_to_meet():
     with criterion(2, "r_1 to target == r_1 to meet, 1e4 incomparable pairs per dim 3..8"):
         start = time.monotonic()
         thm1 = tally("equal-optimal-prob", (
-            _check_equal_optimal_prob(p, q, meet(p, q))
-            for pairs in incomparable_ensembles().values() for p, q in pairs
+            result for pairs in incomparable_ensembles().values()
+            for result in _check_equal_optimal_prob(*pair_rows(pairs))
         ))
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"criterion 2 took {elapsed:.2f}s (limit 30s)"
@@ -178,12 +197,15 @@ def test_criterion_3_residual_majorization():
 def test_criterion_4_monotone_max_and_hadamard():
     with criterion(4, "meet monotones are pointwise max (1e-12); weighted order preserved (1e4 each)"):
         rng = np.random.default_rng(SEED + 1)
+        pairs = [random_prob_vecs(2 + i % 7, 2, rng) for i in range(10_000)]
         lemma1 = tally("meet-monotones", (
-            _check_meet_monotones(p, q, meet(p, q))
-            for p, q in (random_prob_vecs(2 + i % 7, 2, rng) for i in range(10_000))
+            result for group in by_dim(pairs)
+            for result in _check_meet_monotones(*pair_rows(group))
         ))
+        tied = [random_tied_majorization(2 + i % 7, rng) for i in range(10_000)]
         lemma2 = tally("hadamard-order", (
-            _check_hadamard(*random_tied_majorization(2 + i % 7, rng)) for i in range(10_000)
+            result for group in by_dim(tied)
+            for result in _check_hadamard(*_tied_rows(group))
         ))
         print(f"  lemma-1 dev = {-lemma1.worst_slack:.3e}, "
               f"lemma-2 margin = {min(0.0, lemma2.worst_slack):.3e}", end="")
@@ -201,7 +223,8 @@ def multi_state_instances(rng):
 def test_criterion_5_multi_state_probabilities():
     with criterion(5, "worst-case probability via n-ary meet/join, 1e3 ensembles, 1e-12"):
         rng = np.random.default_rng(SEED + 2)
-        tally("multi-state", (_check_multi_state(*inst) for inst in multi_state_instances(rng)))
+        tally("multi-state", (result for group in by_dim(multi_state_instances(rng))
+                              for result in _check_multi_state(group)))
 
 
 def test_criterion_6_lattice_axioms():
@@ -218,13 +241,13 @@ def oracle_checks():
     """Kraus completeness of each Vidal measurement, then the oracle-match check."""
     ensembles = incomparable_ensembles()
     for d in DIMS:
-        for p, q in ensembles[d][:170]:
-            vidal = plan_vidal(p, q)
+        plans = [plan_vidal(p, q) for p, q in ensembles[d][:170]]
+        for vidal in plans:
             kraus = vidal.steps[1].kraus
             m = np.asarray(kraus.m_diag)
             n = np.asarray(kraus.n_diag)
             assert np.max(np.abs(m**2 + n**2 - 1.0)) <= 1e-12
-            yield _check_oracle_match(vidal)
+        yield from _check_oracle_match(plans)
 
 
 def test_criterion_7_kraus_completeness_and_oracle_equivalence():

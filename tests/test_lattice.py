@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 from majlat.errors import EmptyCollection
 from majlat.lattice import (
     _lower_hull,
-    _stacked_suffix_sums,
+    _stacked,
+    _suffix_sums,
     cumulative_sums,
     join,
     join_many,
@@ -139,7 +140,7 @@ def test_every_join_is_exactly_sorted_and_constant_on_each_hull_edge():
     for d, k in itertools.product((3, 8, 64, 512), (2, 4, 8)):
         for _ in range(20 if d <= 64 else 4):
             vs = _collection(d, k, rng)
-            lower = np.minimum.reduce(_stacked_suffix_sums(vs))
+            lower = np.minimum.reduce(_suffix_sums(_stacked(vs)))
             hull = _lower_hull(range(lower.size), lower.tolist())
             results = [join_many(vs)] + ([join(*vs)] if k == 2 else [])
             for res in results:

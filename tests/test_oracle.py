@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from majlat import config
+from majlat.errors import NotNormalized
 from majlat.ladder import ratio_ladder
 from majlat.oracle import (
     RNG_ALGORITHM,
@@ -103,6 +104,21 @@ class TestSchmidtSpectrum:
             (0.64, 0.36), abs=1e-15
         )
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 2.0])
+    @pytest.mark.parametrize("unit", [1.0, 1j], ids=["real", "complex"])
+    def test_spectrum_is_right_at_any_scale(self, scale, unit):
+        state = BipartiteState(np.diag([0.6, 0.8 * unit]) * scale)
+        assert schmidt_spectrum(state).entries == pytest.approx((0.64, 0.36), abs=1e-15)
+
+    def test_a_power_of_two_scale_keeps_the_spectrum_bit_for_bit(self):
+        x = np.sqrt([0.5, 0.3, 0.2])
+        want = schmidt_spectrum(BipartiteState(np.diag(x))).as_array()
+        for k in (-1000, -600, -65, 65, 600, 1000):
+            state = BipartiteState(np.diag(np.ldexp(x, k)))
+            assert state.exponent == k
+            assert np.array_equal(schmidt_spectrum(state).as_array(), want)
+        assert BipartiteState(np.diag(np.ldexp(x, 64))).exponent == 0
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 64, 512])
     def test_diagonal_state_gives_its_normalized_squares_exactly(self, dim):
         rng = np.random.default_rng(dim)
@@ -145,6 +161,14 @@ class TestBranchProbabilities:
         p, _ = worked_pair
         kraus = kraus_diagonals(ratio_ladder(p, p))
         assert branch_probabilities(embed(p), kraus)[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1e-200, 1e160])
+    def test_rejects_a_state_that_is_not_normalized(self, worked_pair, scale):
+        p, q = worked_pair
+        kraus = kraus_diagonals(ratio_ladder(p, q))
+        state = BipartiteState(embed(canonicalize([0.675, 0.225, 0.1])).amplitudes * scale)
+        with pytest.raises(NotNormalized, match="not normalized"):
+            branch_probabilities(state, kraus)
 
     def test_failure_branch_spectrum(self, worked_pair):
         p, q = worked_pair

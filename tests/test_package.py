@@ -24,14 +24,33 @@ def _module_level_names(tree: ast.Module):
             yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
 
 
+# Public names that nothing in the package calls, kept for library users; README's
+# "Kept for library users" list names the same ones.
+KEEP = {
+    "intermediate_state",
+    "kraus_diagonals",
+    "least_concave_majorant",
+    "majorizes_margin",
+    "monotones",
+    "partial_sum_margins",
+    "robin_hood_transfer",
+    "sharpening_transfer",
+    "uniform",
+}
+README = PACKAGE.parent.parent / "README.md"
+
+
 def test_every_module_level_name_is_used_in_the_package():
     """No dead helpers: each top-level function, class and constant of ``majlat``,
-    dunders aside, is read somewhere in the package: loaded by name, reached as an
-    attribute, or imported (``__init__``'s imports are the public API)."""
+    dunders aside, is read somewhere in the package, outside ``__init__``: loaded by
+    name, reached as an attribute or imported.  ``__init__``'s imports are no use,
+    so a public name nothing calls must be on the keep-list."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     used = Counter()
-    for tree in trees.values():
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used[node.id] += 1
@@ -39,7 +58,16 @@ def test_every_module_level_name_is_used_in_the_package():
                 used[node.attr] += 1
             elif isinstance(node, ast.alias):
                 used[node.name] += 1
+    defined = {name for tree in trees.values() for name in _module_level_names(tree)}
     unused = [f"{module}: {name}" for module, tree in trees.items()
               for name in _module_level_names(tree)
-              if not name.startswith("__") and used[name] == 0]
+              if not name.startswith("__") and used[name] == 0 and name not in KEEP]
     assert unused == []
+    assert KEEP <= defined
+
+
+def test_the_keep_list_is_readmes_list():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Kept for library users", 1)[1].split("\n#", 1)[0]
+    listed = {line.split("`")[1] for line in section.splitlines() if line.startswith("- `")}
+    assert listed == KEEP

@@ -29,7 +29,8 @@ from majlat.protocols import (
     plan_to_dict,
     plan_to_dot,
     plan_vidal,
-    step_monotone_slack,
+    step_monotone_slacks,
+    step_outcomes,
     validate_plan,
 )
 from majlat.sampling import random_incomparable_pairs, random_prob_vecs
@@ -353,8 +354,33 @@ def test_every_step_is_monotone_sound(dim, rng):
     p, q = random_incomparable_pairs(dim, 1, rng)[0]
     for plan in (plan_vidal(p, q), plan_greedy(p, q), plan_thrifty(p, q)):
         validate_plan(plan)
-        for step in plan.steps:
-            assert step_monotone_slack(step) >= -1e-9
+        assert min(step_monotone_slacks(plan.steps)) >= -1e-9
+
+
+def _step_slack_reference(step) -> float:
+    """One step's monotone slack, computed on its own."""
+    d = max([step.from_state.dim] + [out.dim for _, out in step_outcomes(step)])
+
+    def suffix(state):
+        return np.cumsum(state.padded(d).as_array()[::-1])[::-1]
+
+    e_avg = sum(prob * suffix(out) for prob, out in step_outcomes(step))
+    return float((suffix(step.from_state) - e_avg).min())
+
+
+def test_step_slacks_of_mixed_steps_equal_one_step_at_a_time():
+    rng = np.random.default_rng(61)
+    steps = []
+    for d in (3, 5, 8, 64):
+        for p, q in random_incomparable_pairs(d, 4, rng):
+            for plan in (plan_vidal(p, q), plan_greedy(p, q), plan_thrifty(p, q)):
+                steps += plan.steps
+    # a state shorter than the step's other states, and a measurement without a failure branch
+    short = dataclasses.replace(steps[0], to_state=ProbVec(steps[0].to_state.as_array()[:-1]))
+    measured = next(s for s in steps if s.failure_state is not None)
+    steps += [short, dataclasses.replace(measured, failure_state=None)]
+    rng.shuffle(steps)
+    assert step_monotone_slacks(steps) == [_step_slack_reference(s) for s in steps]
 
 
 # --- serialization ----------------------------------------------------------

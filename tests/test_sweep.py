@@ -91,13 +91,21 @@ def test_pinned_sweep_reports_are_identical_to_the_golden_file(name):
     assert _pinned(name) == _golden()["pinned"][name]
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_a_report_does_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    monkeypatch.setattr(sweep, "_CHUNK", chunk)
+    for name in ("all 6x37", "duplicated and aliased", "generator 16x6"):
+        assert _pinned(name) == _golden()["pinned"][name]
+
+
 @pytest.mark.parametrize("name", CLI_RUNS)
 def test_cli_output_is_identical_to_the_golden_file(name):
     assert _stdout(CLI_RUNS[name]) == _golden()["cli"][name]
 
 
-def _first(a, *_):
-    return a
+def _first_member(stack):
+    """A broken meet: each group's first member."""
+    return stack[..., 0, :]
 
 
 def _reversed_first_step(plan):
@@ -117,14 +125,16 @@ def _reversed_weights(dim, rng):
     return x, y, a[::-1]
 
 
-# property -> {sweep module attribute: broken replacement}
+# property -> {sweep module attribute: broken replacement}; the batched checkers
+# reach the lattice through its row kernels, the planners and the oracle instance
+# by instance
 TAMPERED = {
-    "axioms": {"meet": _first},
-    "meet-monotones": {"meet": _first},
+    "axioms": {"meet_rows": _first_member},
+    "meet-monotones": {"meet_rows": _first_member},
     "hadamard-order": {"random_tied_majorization": _reversed_weights},
-    "equal-optimal-prob": {"meet": _first},
+    "equal-optimal-prob": {"meet_rows": _first_member},
     "residual-order": {"plan_vidal": protocols.plan_thrifty, "plan_thrifty": protocols.plan_vidal},
-    "multi-state": {"meet_many": lambda vs: vs[0]},
+    "multi-state": {"meet_rows": _first_member},
     "monotone-soundness": {"plan_vidal": lambda p, q: _reversed_first_step(protocols.plan_vidal(p, q))},
     "oracle-match": {"apply_two_outcome": _lopsided_outcome},
 }
@@ -144,6 +154,37 @@ def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch
     assert outcome.failed >= 1, outcome.to_dict()
 
 
+def _raising(kernel, label: str, threshold: float):
+    """``kernel``, raising instead when a row's first entry exceeds ``threshold``."""
+    def broken(rows, *rest):
+        flat = rows.reshape(-1, rows.shape[-1])
+        hit = np.flatnonzero(flat[:, 0] > threshold)
+        if hit.size:
+            raise ValueError(f"{label} {flat[hit[0]].tolist()}")
+        return kernel(rows, *rest)
+    return broken
+
+
+@pytest.mark.parametrize("seed,first", [(0, "monotones"), (1, "p_max")])
+def test_a_checker_error_is_the_one_a_loop_over_instances_raises_first(seed, first, monkeypatch):
+    """equal-optimal-prob is listed first, so a pass over the whole chunk meets its
+    error first; with seed 0 a loop over instances meets meet-monotones' error on
+    an earlier instance."""
+    monkeypatch.setattr(sweep, "p_max_rows", _raising(sweep.p_max_rows, "p_max", 0.5))
+    monkeypatch.setattr(sweep, "monotone_rows", _raising(sweep.monotone_rows, "monotones", 0.4))
+    names = ["equal-optimal-prob", "meet-monotones"]
+    with pytest.raises(ValueError, match="^p_max"):
+        sweep.run_sweep(4, 40, seed=seed, properties=names[:1])
+    errors = []
+    for chunk in (1, 3, sweep._CHUNK):  # one instance per chunk is the loop over instances
+        monkeypatch.setattr(sweep, "_CHUNK", chunk)
+        with pytest.raises(ValueError) as raised:
+            sweep.run_sweep(4, 40, seed=seed, properties=names)
+        errors.append(str(raised.value))
+    assert errors[0].startswith(first)
+    assert errors == [errors[0]] * 3
+
+
 # properties -> the next three draws of a Generator(PCG64(2026)) after it ran
 # run_sweep(5, 12, seed=generator, properties=...), as recorded before the checkers
 # shared one analysis per instance
@@ -161,7 +202,7 @@ def test_a_sweep_draws_from_the_callers_generator_as_before(properties):
     assert rng.integers(2**32, size=3).tolist() == NEXT_DRAWS[properties]
 
 
-ANALYSIS = ("compare", "meet", "join", "plan_vidal", "plan_greedy", "plan_thrifty")
+ANALYSIS = ("below_rows", "meet_rows", "join_rows", "plan_vidal", "plan_greedy", "plan_thrifty")
 
 
 def _count_calls(monkeypatch) -> dict:
@@ -170,10 +211,10 @@ def _count_calls(monkeypatch) -> dict:
     held = []  # keeps the arguments alive, so that their ids stay unique
 
     def counting(name, fn):
-        def counted(a, b, *rest, **kwargs):
-            held.append((a, b))
-            calls[name][id(a), id(b)] += 1
-            return fn(a, b, *rest, **kwargs)
+        def counted(*args):
+            held.append(args)
+            calls[name][tuple(map(id, args))] += 1
+            return fn(*args)
         return counted
 
     for name in ANALYSIS:
@@ -185,7 +226,7 @@ def test_each_piece_of_a_pairs_analysis_is_built_at_most_once(monkeypatch):
     calls = _count_calls(monkeypatch)
     report = sweep.run_sweep(5, 40, seed=8)
     assert report.total_failures == 0
-    for name in ("meet", "join", "plan_vidal", "plan_thrifty"):
+    for name in ("meet_rows", "join_rows", "plan_vidal", "plan_thrifty"):
         assert calls[name], name
         assert max(calls[name].values()) == 1, (name, calls[name].most_common(1))
 
