@@ -81,7 +81,7 @@ def _ratios(es: np.ndarray, et: np.ndarray, eps: float) -> np.ndarray:
 
 
 def p_max_rows(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``p_max`` of each row of sources to the same row of targets, entries of one length."""
+    """``p_max`` of each row of sources to the same row of targets (two stacks of one shape)."""
     _check_ranks(sources, targets)
     return np.minimum.reduce(_ratios(_suffix_sums(sources), _suffix_sums(targets), get_epsilon()),
                              axis=-1)

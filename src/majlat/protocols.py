@@ -160,7 +160,7 @@ class TwoOutcomeResult:
 
 def _kraus(r1: float, rv: np.ndarray) -> KrausDiagonals:
     m_sq = r1 / rv
-    n_sq = np.clip(1.0 - m_sq, 0.0, None)
+    n_sq = np.maximum(1.0 - m_sq, 0.0)  # the call np.clip(x, 0.0, None) makes, without its wrapper
     return KrausDiagonals(m_diag=np.sqrt(m_sq), n_diag=np.sqrt(n_sq))
 
 
@@ -188,7 +188,11 @@ def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray
     eps = get_epsilon()
 
     def branch(op_sq: np.ndarray, prob: float) -> np.ndarray | None:
-        return None if prob <= eps else np.sort(op_sq * lam / prob)[::-1]
+        if prob <= eps:
+            return None
+        row = op_sq * lam / prob
+        row.sort()  # in place, as np.sort sorts its copy
+        return row[::-1]
 
     return p, branch(m_sq, p), branch(n_sq, 1.0 - p)
 

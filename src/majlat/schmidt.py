@@ -156,14 +156,14 @@ def margin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def min_margin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Most negative margin of "a majorized by b", row by row (0 where d = 1)."""
     m = margin_rows(a, b)
-    return m.min(axis=-1) if m.shape[-1] else np.zeros(m.shape[:-1])
+    return np.minimum.reduce(m, axis=-1) if m.shape[-1] else np.zeros(m.shape[:-1])
 
 
 def below_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether a is majorized by b, and whether b by a, within epsilon, row by row."""
     eps = get_epsilon()
     m = margin_rows(a, b)
-    return (m >= -eps).all(axis=-1), (m <= eps).all(axis=-1)
+    return np.logical_and.reduce(m >= -eps, axis=-1), np.logical_and.reduce(m <= eps, axis=-1)
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +175,7 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         width = max(a.shape[-1], b.shape[-1])
         a, b = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, width - x.shape[-1])]) for x in (a, b))
     with np.errstate(invalid="ignore"):
-        return np.abs(a - b).max(axis=-1)
+        return np.maximum.reduce(np.abs(a - b), axis=-1)
 
 
 def partial_sum_margins(p: ProbVec, q: ProbVec) -> np.ndarray:
