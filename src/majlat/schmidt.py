@@ -144,7 +144,7 @@ def rank_rows(rows: np.ndarray) -> list[int]:
     """Number of entries above epsilon, one int per row, rows in order."""
     above = rows > get_epsilon()
     if above.ndim == 1:  # without an axis, count_nonzero is several times faster
-        return [np.count_nonzero(above)]
+        return [int(np.count_nonzero(above))]
     return np.count_nonzero(above, axis=-1).ravel().tolist()
 
 

@@ -24,11 +24,13 @@ from majlat.schmidt import (
     ProbVec,
     below_rows,
     compare,
+    effective_rank,
     majorizes_margin,
     margin_rows,
     max_deviation,
     min_margin_rows,
     partial_sum_margins,
+    rank_rows,
 )
 
 DIMS = (2, 3, 8, 64, 512)
@@ -73,6 +75,14 @@ def test_margin_rows_match_each_pair_alone(d):
         order = compare(p, q)
         assert (p_below_q[i], q_below_p[i]) == (order.value in ("precedes", "equivalent"),
                                                 order.value in ("succeeds", "equivalent"))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_rank_rows_are_the_effective_ranks_as_ints(d):
+    vs = _vectors(d, 7, np.random.default_rng(d))
+    ranks = rank_rows(_rows(vs))
+    assert ranks == [effective_rank(v) for v in vs]
+    assert all(type(r) is int for r in ranks + [effective_rank(vs[0])])
 
 
 @pytest.mark.parametrize("d", DIMS)
