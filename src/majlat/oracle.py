@@ -26,6 +26,7 @@ from .schmidt import ProbVec
 RNG_ALGORITHM = "numpy.random.PCG64"
 _BLOCK = 8192  # uniforms per draw and floats per summed chunk
 _UNIT_BITS = 64  # amplitude peaks within 2**-64 .. 2**64 are squared as they are
+_MANTISSA = np.int64((1 << 52) - 1)  # mantissa bits of a float64
 
 
 @dataclass(frozen=True)
@@ -171,11 +172,6 @@ def _failed_steps(p_success: list[float], shots: int, rng):
     most _BLOCK draws and no more than the remaining shots still need, so the
     generator ends where the per-shot draws would.
     """
-    if len(p_success) == 1:  # every plan the planners emit
-        for start in range(0, shots, _BLOCK):
-            u = rng.random(min(_BLOCK, shots - start))
-            yield np.zeros(np.count_nonzero(u >= p_success[0]), dtype=np.intp)
-        return
     started, step = 0, 0  # shots begun; next step of the shot in progress
     while started < shots or step:
         failed = []
@@ -190,6 +186,47 @@ def _failed_steps(p_success: list[float], shots: int, rng):
         yield np.array(failed, dtype=np.intp)
 
 
+def _sum_of_copies(f: np.ndarray, n: int) -> np.ndarray:
+    """The float sum ``f + f + ... + f`` of ``n`` copies, added left to right.
+
+    Bit for bit what ``n - 1`` additions in a row give, entry by entry, in
+    O(log n) steps over the whole array.  While a running sum ``s`` and
+    ``s + x`` stay in one binade [2**e, 2**(e+1)), ``fl(s + x)`` is ``s`` plus
+    ``x`` rounded to the binade's spacing, ties to even.  Once an addition
+    inside the binade has made ``s`` even in that spacing, every further one
+    adds the same amount: the bits of ``s``, read as an integer, advance by a
+    constant step up to the binade's last float.  Each round jumps there from
+    a sum whose last addition stayed inside its binade, then adds two copies:
+    the first leaves the binade, the second stays inside the next one, as the
+    sum holds at least four copies.  Zero entries stay as they are; the step
+    is never zero while n < 2**52.
+    """
+    total = f.copy()
+    rounds = n.bit_length()  # at least one per binade from 4x to n*x
+    if n < 2 * rounds + 5:  # too few copies to reserve two per round
+        for _ in range(n - 1):
+            total += f
+        return total
+    nonzero = np.flatnonzero(f)
+    x = f[nonzero]
+    s4 = x + x + x + x
+    s5 = s4 + x
+    # no two additions in a row leave a binade: start where the last one stayed inside
+    left_binade = (s4.view(np.int64) ^ s5.view(np.int64)) > _MANTISSA  # exponents differ
+    s = np.where(left_binade, s4, s5)
+    spare = left_binade + (n - 5 - 2 * rounds)  # copies the jumps still owe
+    bits = s.view(np.int64)  # s itself, read as integers
+    for _ in range(rounds):
+        steps = (s + x).view(np.int64) - bits
+        jump = np.minimum((_MANTISSA - (bits & _MANTISSA)) // steps, spare)
+        spare -= jump
+        bits += jump * steps
+        s += x
+        s += x
+    total[nonzero] = s
+    return total
+
+
 def run_plan(plan: ConversionPlan, shots: int, seed=None) -> OutcomeStats:
     """Monte Carlo execution of a plan with a reproducible generator.
 
@@ -199,14 +236,30 @@ def run_plan(plan: ConversionPlan, shots: int, seed=None) -> OutcomeStats:
     whose branch has probability <= epsilon counts as a success.  The failure
     spectra are summed one by one in shot order, so a seed gives the same
     report whatever the block sizes; memory does not grow with ``shots``.
+
+    A plan with one measurement, as every emitted plan is, fails with one
+    spectrum: its failures are counted block by block and their sum is formed
+    by ``_sum_of_copies`` in O(d log n) steps, with the bits of the one-by-one
+    sum.  A plan with several measurements adds the spectra of its failures
+    one at a time.  ``shots`` is an integer >= 1, numpy integers included;
+    anything else raises ``ValueError``.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValueError(f"shots must be an integer >= 1, not {shots!r}")
+    shots = int(shots)
     validate_plan(plan)
     records = _walk_plan(plan)
     rng = np.random.default_rng(seed)
     failures, total, reached = 0, None, 0
-    if records:
+    if len(records) == 1:
+        p, f = records[0]
+        for start in range(0, shots, _BLOCK):
+            failures += int(np.count_nonzero(rng.random(min(_BLOCK, shots - start)) >= p))
+        if f is None:
+            failures = 0
+        elif failures:
+            total, reached = _sum_of_copies(f, failures), f.size
+    elif records:
         # Hand-written plans may change dimension between steps: pad the table
         # and report the mean at the longest failure spectrum actually reached.
         lengths = np.array([0 if f is None else f.size for _, f in records])

@@ -484,8 +484,9 @@ def step_to_dict(step: PlanStep) -> dict:
 
 def _numbers(raw, what: str) -> list:
     """``raw`` if it is a JSON array of numbers; booleans and numeric strings are not numbers."""
-    if isinstance(raw, list) and all(isinstance(x, (int, float)) and type(x) is not bool
-                                     for x in raw):
+    # one check per distinct entry type, not per entry
+    if isinstance(raw, list) and all(issubclass(t, (int, float)) and t is not bool
+                                     for t in set(map(type, raw))):
         return raw
     raise ValueError(f"{what} must be finite JSON numbers")
 

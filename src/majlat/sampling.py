@@ -13,11 +13,13 @@ import numpy as np
 from .schmidt import ProbVec
 
 
+def random_prob_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``(count, dim)`` rows, each a sorted draw from the flat Dirichlet."""
+    return np.sort(rng.dirichlet(np.ones(dim), size=count), axis=1)[:, ::-1]
+
+
 def random_prob_vecs(dim: int, count: int, rng) -> list[ProbVec]:
-    rng = np.random.default_rng(rng)
-    batch = rng.dirichlet(np.ones(dim), size=count)
-    batch = np.sort(batch, axis=1)[:, ::-1]
-    return [ProbVec(row) for row in batch]
+    return [ProbVec(row) for row in random_prob_rows(dim, count, np.random.default_rng(rng))]
 
 
 def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, ProbVec]]:

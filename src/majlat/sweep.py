@@ -48,7 +48,7 @@ from .protocols import (
     step_monotone_slacks,
 )
 from .sampling import (
-    random_prob_vecs,
+    random_prob_rows,
     random_tied_majorization,
     robin_hood_rows,
     sharpening_rows,
@@ -140,7 +140,7 @@ def _results(ok, slack, detail) -> list[tuple[bool, float, dict | None]]:
 def _draw_axioms(dim: int, rng):
     """Robin Hood and sharpening transfer draws, a probe, a third vector, an order of three."""
     return (transfer_draws(dim, rng, 2), transfer_draws(dim, rng, 2),
-            random_prob_vecs(dim, 1, rng)[0], random_prob_vecs(dim, 1, rng)[0],
+            random_prob_rows(dim, 1, rng)[0], random_prob_rows(dim, 1, rng)[0],
             rng.permutation(3))
 
 
@@ -183,7 +183,7 @@ def _check_axioms(P, Q, M, J, draws) -> list:
         np.array([draw[k][part] for draw in draws]) for k in (0, 1) for part in (0, 1))
     below = robin_hood_rows(M, below_index, below_u)
     above = sharpening_rows(J, above_index, above_u)
-    probe = _rows(draw[2] for draw in draws)
+    probe = np.array([draw[2] for draw in draws])
 
     def weakly_below(a, b):
         return below_rows(a, b)[0]
@@ -203,7 +203,7 @@ def _check_axioms(P, Q, M, J, draws) -> list:
         ok &= ~premise | (wit >= MARGIN_FLOOR)
 
     # n-ary order independence on a random triple: max and min commute exactly
-    extra = _rows(draw[3] for draw in draws)
+    extra = np.array([draw[3] for draw in draws])
     triple = np.stack((P, Q, extra), axis=1)
     shuffled = triple[np.arange(len(triple))[:, None], [draw[4] for draw in draws]]
     dev_meet = max_deviation(meet_rows(triple), meet_rows(shuffled))
@@ -251,24 +251,24 @@ def _check_residual_order(greedy, thrifty) -> list:
 def _draw_multi_state(dim: int, rng):
     """1 to 3 further targets and as many further sources."""
     extra = int(rng.integers(1, 4))
-    return random_prob_vecs(dim, extra, rng), random_prob_vecs(dim, extra, rng)
+    return random_prob_rows(dim, extra, rng), random_prob_rows(dim, extra, rng)
 
 
 def _members(groups) -> np.ndarray:
-    """``(N, k, d)`` stack of N groups of vectors of one dimension; a group shorter
+    """``(N, k, d)`` stack of N groups of rows of one dimension; a group shorter
     than the longest repeats its first member, which leaves any max or min alone."""
     k = max(len(group) for group in groups)
-    return np.array([[v.as_array() for v in group] + [group[0].as_array()] * (k - len(group))
-                     for group in groups])
+    return np.array([[*group] + [group[0]] * (k - len(group)) for group in groups])
 
 
 def _check_multi_state(instances) -> list:
     """Theorem 3: the n-ary meet (join) gives the worst fan-out (fan-in) probability.
 
-    Each instance is (source, targets, sources, target), all of one dimension.
+    Each instance is (source, targets, sources, target): rows of one dimension,
+    the targets and the sources as sequences of rows.
     """
     sources, targets = _members([i[2] for i in instances]), _members([i[1] for i in instances])
-    source, target = _rows(i[0] for i in instances), _rows(i[3] for i in instances)
+    source, target = np.array([i[0] for i in instances]), np.array([i[3] for i in instances])
     spread = np.broadcast_to(source[:, None], targets.shape)
     direct = [min(row) for row in p_max_rows(spread, targets).tolist()]
     to_meet = p_max_rows(source, meet_rows(np.concatenate((source[:, None], targets), axis=1)))
@@ -321,15 +321,14 @@ class _Pairs:
     planner reaches every checker that reads them.
     """
 
-    def __init__(self, pairs):
-        self.p = [p for p, _ in pairs]
-        self.q = [q for _, q in pairs]
-        self.rows = np.array([(p.as_array(), q.as_array()) for p, q in pairs])  # (N, 2, d)
-        self.P, self.Q = self.rows[:, 0], self.rows[:, 1]
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows  # (N, 2, d)
+        self.P, self.Q = rows[:, 0], rows[:, 1]
+        self._vecs: dict = {}
         self._plans: dict = {}
 
     def __len__(self) -> int:
-        return len(self.p)
+        return len(self.rows)
 
     @cached_property
     def incomparable(self) -> np.ndarray:
@@ -344,10 +343,16 @@ class _Pairs:
     def join(self) -> np.ndarray:
         return join_rows(self.rows)
 
+    def vecs(self, i: int) -> tuple[ProbVec, ProbVec]:
+        """Pair i as the planners take it."""
+        if i not in self._vecs:
+            self._vecs[i] = ProbVec(self.P[i]), ProbVec(self.Q[i])
+        return self._vecs[i]
+
     def plan(self, planner, i: int) -> ConversionPlan:
         """The plan of pair i that ``planner`` builds."""
         if (planner, i) not in self._plans:
-            self._plans[planner, i] = planner(self.p[i], self.q[i])
+            self._plans[planner, i] = planner(*self.vecs(i))
         return self._plans[planner, i]
 
 
@@ -356,7 +361,7 @@ def _monotone_soundness(a: _Pairs, rows, _):
     for i in rows:
         plans = [a.plan(plan_vidal, i)]
         if a.incomparable[i]:
-            plans += [plan_greedy(a.p[i], a.q[i]), a.plan(plan_thrifty, i)]
+            plans += [plan_greedy(*a.vecs(i)), a.plan(plan_thrifty, i)]
         groups.append(plans)
     return _check_monotone_soundness(groups)
 
@@ -381,7 +386,7 @@ CHECKERS = {
     "residual-order": (True, None, lambda a, rows, _: _check_residual_order(
         [a.plan(plan_vidal, i) for i in rows], [a.plan(plan_thrifty, i) for i in rows])),
     "multi-state": (False, _draw_multi_state, lambda a, rows, draws: _check_multi_state(
-        [(a.p[i], [a.q[i], *targets], [a.p[i], *sources], a.q[i])
+        [(a.P[i], [a.Q[i], *targets], [a.P[i], *sources], a.Q[i])
          for i, (targets, sources) in zip(rows, draws)])),
     "monotone-soundness": (False, None, _monotone_soundness),
     "oracle-match": (True, None, lambda a, rows, _: _check_oracle_match(
@@ -412,7 +417,7 @@ def resolve_properties(names=None) -> list[str]:
 
 
 def _check_chunk(pairs, draws: dict) -> dict:
-    """Each property's results on a chunk of pairs, a list per name of ``draws``."""
+    """Each property's results on a chunk of ``(N, 2, d)`` pairs, a list per name of ``draws``."""
     a = _Pairs(pairs)
     results = {}
     for name, drawn in draws.items():
@@ -435,11 +440,12 @@ def run_sweep(dim: int, count: int, seed=None, properties=None) -> SweepReport:
     for start in range(0, count, _CHUNK):
         pairs, draws = [], {name: [] for name in names}
         for _ in range(min(_CHUNK, count - start)):
-            pairs.append(random_prob_vecs(dim, 2, rng))
+            pairs.append(random_prob_rows(dim, 2, rng))
             for name in names:
                 draw = CHECKERS[name][1]
                 if draw is not None:
                     draws[name].append(draw(dim, rng))
+        pairs = np.array(pairs)  # (N, 2, d)
         try:
             results = _check_chunk(pairs, draws)
         except Exception:

@@ -27,6 +27,7 @@ from majlat.oracle import run_plan
 from majlat.protocols import kraus_diagonals, plan_thrifty, plan_vidal
 from majlat.sampling import (
     random_incomparable_pairs,
+    random_prob_rows,
     random_prob_vecs,
     random_tied_majorization,
 )
@@ -215,15 +216,16 @@ def multi_state_instances(rng):
     for i in range(1_000):
         d = 3 + i % 4
         m = 2 + i % 3
-        source, *targets = random_prob_vecs(d, 1 + m, rng)
-        *sources, target = random_prob_vecs(d, m + 1, rng)
+        source, *targets = random_prob_rows(d, 1 + m, rng)
+        *sources, target = random_prob_rows(d, m + 1, rng)
         yield source, targets, sources, target
 
 
 def test_criterion_5_multi_state_probabilities():
     with criterion(5, "worst-case probability via n-ary meet/join, 1e3 ensembles, 1e-12"):
         rng = np.random.default_rng(SEED + 2)
-        tally("multi-state", (result for group in by_dim(multi_state_instances(rng))
+        tally("multi-state", (result for group in by_dim(multi_state_instances(rng),
+                                                         lambda instance: instance[0].size)
                               for result in _check_multi_state(group)))
 
 

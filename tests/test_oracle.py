@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +9,11 @@ import hypothesis.strategies as st
 
 from majlat import config
 from majlat.errors import NotNormalized
-from majlat.ladder import ratio_ladder
+from majlat.ladder import p_max, ratio_ladder
 from majlat.oracle import (
     RNG_ALGORITHM,
     BipartiteState,
+    _sum_of_copies,
     branch_probabilities,
     embed,
     run_plan,
@@ -357,6 +360,60 @@ def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):
     stats = run_plan(plan, 100, seed=1)
     assert len(stats.residual_mean) == 4
     assert sum(stats.residual_mean) == pytest.approx(1.0, abs=1e-12)
+
+
+def _one_by_one(x, n):
+    """``x + x + ... + x`` (n copies), added left to right by ``np.add.accumulate``."""
+    total = None
+    for start in range(0, n, 4096):
+        chunk = np.tile(x, (min(4096, n - start), 1))
+        if total is not None:
+            chunk[0] += total
+        total = np.add.accumulate(chunk, axis=0)[-1]
+    return total
+
+
+# odd mantissas of 31 to 51 bits: a sum of j copies meets round-half-even ties
+# from about j = 2**(52 - bits) on, so every binade up to 2**21 copies has some
+_TIES = np.array([np.ldexp(float(2**k + 1), -k - 2) for k in range(30, 51)])
+SUMMANDS = {
+    "ties": _TIES,
+    "zeros": np.array([0.5, 0.0, 0.3, -0.0, 0.2]),
+    "2**-60..1": np.ldexp(np.random.default_rng(60).dirichlet(np.ones(11)) * 2, -np.arange(0, 61, 6)),
+    "dirichlet": np.random.default_rng(61).dirichlet(np.ones(8)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193, 10**6])
+@pytest.mark.parametrize("name", sorted(SUMMANDS))
+def test_sum_of_copies_is_the_one_by_one_sum(name, n):
+    x = SUMMANDS[name]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _sum_of_copies(x, n)
+    assert got.tobytes() == _one_by_one(x, n).tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 64])
+def test_run_plan_matches_the_reference_when_almost_every_shot_fails(dim):
+    rng = np.random.default_rng(2000 + dim)
+    p, q = next((p, q) for p, q in random_incomparable_pairs(dim, 64, rng) if p_max(p, q) < 0.1)
+    _assert_same_as_reference(plan_thrifty(p, q), 100_000, dim)
+
+
+@pytest.mark.parametrize("shots", [2.5, 10.0, np.float64(5.0), True, np.bool_(True), "10", None, 0, -3])
+def test_run_plan_rejects_a_shot_count_it_cannot_honour(worked_pair, shots):
+    p, q = worked_pair
+    for plan in (plan_vidal(p, canonicalize([0.7, 0.2, 0.1])), plan_thrifty(p, q)):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
+            run_plan(plan, shots, seed=1)
+
+
+def test_run_plan_reports_numpy_integer_shots_as_int(worked_pair):
+    plan = plan_thrifty(*worked_pair)
+    stats = run_plan(plan, np.int64(5), seed=1)
+    assert type(stats.shots) is int and type(stats.successes) is int
+    assert json.loads(json.dumps(stats.to_dict())) == run_plan(plan, 5, seed=1).to_dict()
 
 
 def test_run_plan_memory_does_not_grow_with_shots():

@@ -32,6 +32,7 @@ from majlat.protocols import (
     step_monotone_slacks,
     step_outcomes,
     validate_plan,
+    _numbers,
 )
 from majlat.sampling import random_incomparable_pairs, random_prob_vecs
 from majlat.schmidt import (
@@ -891,3 +892,18 @@ def test_emitted_plans_round_trip_through_the_checked_reader(dim):
         restored = plan_from_dict(json.loads(json.dumps(doc)))
         assert restored == plan
         assert plan_to_dict(restored) == doc
+
+
+@pytest.mark.parametrize("raw", [
+    [True], [0.5, False], ["0.5"], [None], [[0.5]], [np.float64(0.5)], [np.bool_(True)],
+    [0.5, 1], [1, 2, 3], [], [0.5, np.float64(0.3), 2], [math.nan], [{}], "0.5", None,
+])
+def test_a_number_array_is_checked_as_by_each_entry(raw):
+    """The verdict on a JSON array is the one an entry-by-entry check gives."""
+    by_entry = isinstance(raw, list) and all(
+        isinstance(x, (int, float)) and type(x) is not bool for x in raw)
+    if by_entry:
+        assert _numbers(raw, "v") is raw
+    else:
+        with pytest.raises(ValueError, match="^v must be finite JSON numbers$"):
+            _numbers(raw, "v")
