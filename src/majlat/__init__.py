@@ -16,7 +16,7 @@ from .errors import (
     NotNormalized,
     RankDeficit,
 )
-from .lattice import cumulative_sums, join, join_many, least_concave_majorant, meet, meet_many
+from .lattice import join, join_many, least_concave_majorant, meet, meet_many
 from .ladder import (
     RatioLadder,
     intermediate_state,
@@ -81,7 +81,6 @@ __all__ = [
     "branch_probabilities",
     "canonicalize",
     "compare",
-    "cumulative_sums",
     "effective_rank",
     "embed",
     "get_epsilon",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config
 from .errors import MajlatError
-from .lattice import cumulative_sums, join, meet
+from .lattice import join, meet
 from .ladder import p_max, r_vector, ratio_ladder
 from .oracle import run_plan
 from .protocols import (
@@ -211,7 +211,8 @@ def _cmd_compare(args):
 
 def _bound_result(name: str, bound: ProbVec) -> _Result:
     entries = bound.as_array().tolist()
-    return _Result({name: entries, "cumulative_sums": list(cumulative_sums(bound))}, [entries])
+    cumulative = [0.0, *np.cumsum(bound.as_array()).tolist()]
+    return _Result({name: entries, "cumulative_sums": cumulative}, [entries])
 
 
 def _cmd_meet(args):

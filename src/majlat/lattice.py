@@ -22,9 +22,26 @@ join's are the greatest convex minorant of their pointwise min, because
 conv(min(conv h, g)) = conv(min(h, g)).  So one max or min and at most one
 hull serve any k, the result does not depend on the inputs' order (max and
 min commute exactly), and the binary ``meet``/``join`` are the k = 2 case.
+
+The hull is Andrew's monotone chain in Python, over d + 1 points at the
+abscissae 0, 1, ..., d.  Those points are nearly convex: the minimum of
+convex suffix-sum curves fails to be convex only near crossings, so at
+d = 512 a median of 6 of 511 consecutive triples make the chain pop.  For
+rows of ``_REPLAY_WIDTH`` points or more, ``join_rows`` therefore evaluates
+the chain's own test on every consecutive triple of the whole stack in one
+numpy pass, and lists each row's popping triples: from that list the first
+popping triple at or after any point is one bisection away.  The chain is
+then replayed, and wherever its top two vertices are consecutive points it
+appends the whole run up to the next popping triple in one step.  The chain
+would push the same points one by one without a pop, so the vertices are
+its own, bit for bit.  The ratio ladder's hull points are far from convex
+(half their triples pop), so the ladder runs the plain chain.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,27 +49,82 @@ from .errors import EmptyCollection
 from .schmidt import ProbVec
 
 
-def cumulative_sums(p: ProbVec) -> tuple[float, ...]:
-    """Partial sums s_0 = 0, s_1, ..., s_d of a canonical vector."""
-    return (0.0, *np.cumsum(p.as_array()).tolist())
+_REPLAY_WIDTH = 80  # rows of fewer points run the plain chain: the numpy pass costs more than it saves
 
 
-def _lower_hull(x, y) -> list[int]:
+def _lower_hull(x, y, pops=None) -> list[int]:
     """Vertex indices of the lower convex hull of points (x[i], y[i]), x increasing.
 
     Andrew's monotone chain; of collinear points only the two ends stay.  Pass
-    lists (``ndarray.tolist()``): numpy scalars make the loop several times slower.
+    lists or tuples of Python floats (``ndarray.tolist()``): numpy scalars make the
+    loop several times slower, and indexing a ``range`` about twice as slow.
+
+    ``pops`` replays the chain in runs, for points at x = 0.0, 1.0, ..., d.  It
+    lists, ascending and then d + 1, every k whose consecutive triple
+    (k - 2, k - 1, k) passes the chain's pop test (see ``_popping_points``).  When
+    the top two vertices are k - 2 and k - 1 and that test fails for k, the chain
+    pushes k without a pop, and the top two are k - 1 and k; by induction it
+    pushes every point before the next popping point the same way, and the replay
+    appends them in one step.  So the vertices are the chain's own, bit for bit,
+    and the loop visits only the points around popping triples.
     """
     hull = [0]
-    for k in range(1, len(x)):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (y[j] - y[i]) * (x[k] - x[j]) >= (y[k] - y[j]) * (x[j] - x[i]):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
+    k, n = 1, len(x)
+    while k < n:
+        if pops is not None and len(hull) > 1 and hull[-2] == k - 2:  # hull[-1] is k - 1
+            stop = pops[bisect_left(pops, k)]  # the first popping point at or after k
+            if stop > k:
+                hull += range(k, stop)
+                k = stop
+                continue
+        # the chain's own steps: every point, or between runs one point at a time
+        for k in range(k, n if pops is None else k + 1):
+            while len(hull) >= 2:
+                i, j = hull[-2], hull[-1]
+                if (y[j] - y[i]) * (x[k] - x[j]) >= (y[k] - y[j]) * (x[j] - x[i]):
+                    hull.pop()
+                else:
+                    break
+            hull.append(k)
+        k += 1
     return hull
+
+
+def _popping_points(rows: np.ndarray) -> list[list[int]]:
+    """``_lower_hull``'s ``pops`` for each row of a 2-d stack of ordinates at x = 0..d.
+
+    On consecutive points the chain's test multiplies both of its sides by a unit
+    step, exactly, so on (k - 2, k - 1, k) it is ``y[k-1] - y[k-2] >= y[k] - y[k-1]``,
+    evaluated here for every triple of the stack at once.
+    """
+    width = rows.shape[-1]
+    steps = rows[:, 1:] - rows[:, :-1]
+    row, col = (steps[:, :-1] >= steps[:, 1:]).nonzero()
+    pops = [[] for _ in range(len(rows))]
+    for r, k in zip(row.tolist(), (col + 2).tolist()):
+        pops[r].append(k)
+    for p in pops:
+        p.append(width)
+    return pops
+
+
+@lru_cache(maxsize=32)
+def _abscissae(width: int) -> tuple[float, ...]:
+    """0.0, 1.0, ..., width - 1 as Python floats, the join's abscissae."""
+    return tuple(np.arange(width, dtype=float).tolist())
+
+
+def _row_hulls(rows: np.ndarray) -> list[list[int]]:
+    """Lower hull vertices of the points (k, row[k]), k = 0..d, of each row of a 2-d stack.
+
+    Rows of ``_REPLAY_WIDTH`` points or more are replayed in runs.
+    """
+    width = rows.shape[-1]
+    x = _abscissae(width)
+    ys = rows.tolist()
+    if width < _REPLAY_WIDTH:
+        return [_lower_hull(x, y) for y in ys]
+    return [_lower_hull(x, y, pops) for y, pops in zip(ys, _popping_points(rows))]
 
 
 def least_concave_majorant(values) -> np.ndarray:
@@ -60,12 +132,18 @@ def least_concave_majorant(values) -> np.ndarray:
 
     Its vertices are the lower hull of the negated points, with collinear
     points merged.  Returns the envelope ordinates, which coincide with the
-    input at hull vertices and interpolate linearly in between.
+    input at hull vertices and interpolate linearly in between.  Raises
+    ``ValueError`` unless the values are a 1-d sequence of finite numbers.
     """
-    t = np.asarray(values, dtype=float)
+    try:
+        t = np.asarray(values, dtype=float)
+    except (TypeError, OverflowError):  # e.g. a mapping, or an integer beyond float range
+        raise ValueError("expected a 1-d sequence of finite numbers") from None
+    if t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError("expected a 1-d sequence of finite numbers")
     if t.size <= 2:
         return t.copy()
-    hull = _lower_hull(range(t.size), (-t).tolist())
+    hull = _row_hulls(-t[None])[0]
     return np.interp(np.arange(t.size), hull, t[hull])
 
 
@@ -104,8 +182,7 @@ def join_rows(stack: np.ndarray) -> np.ndarray:
     lower = np.minimum.reduce(_suffix_sums(stack), axis=-2)
     width = lower.shape[-1]
     flat = []  # the hull vertices of all rows, as positions in one flat sequence
-    for row, ys in enumerate(lower.reshape(-1, width).tolist()):
-        hull = _lower_hull(range(width), ys)
+    for row, hull in enumerate(_row_hulls(lower.reshape(-1, width))):
         flat += [row * width + k for k in hull] if row else hull
     # Each row's hull runs from its column 0 to its column d, so the edge from one
     # row's last vertex to the next row's first covers just the row's column d,

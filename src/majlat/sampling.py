@@ -99,8 +99,9 @@ def sharpening_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
     return ProbVec(sharpening_rows(p.as_array()[None], index[None], uniforms[None])[0])
 
 
-def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[float, ...]]:
-    """A pair x majorized by y with shared partial sums, plus admissible weights.
+def random_tied_rows(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pair x majorized by y with shared partial sums, plus admissible weights,
+    as three ``(dim,)`` arrays.
 
     y is random; x averages y within random blocks, so the cumulative sums
     touch exactly at block boundaries.  The weight vector is non-increasing,
@@ -112,18 +113,25 @@ def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[flo
     rng = np.random.default_rng(rng)
     y = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
     n_blocks = int(rng.integers(1, dim + 1))
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False)) if n_blocks > 1 else np.array([], dtype=int)
-    bounds = np.concatenate(([0], cuts, [dim]))
-    x = np.empty(dim)
-    weights = np.empty(dim)
-    mu = np.sort(rng.random(len(bounds) - 1))[::-1]  # per-block levels, decreasing
-    for t in range(len(bounds) - 1):
-        lo, hi = bounds[t], bounds[t + 1]
-        x[lo:hi] = y[lo:hi].mean()
-        weights[lo:hi] = mu[t]
+    cuts = []
+    if n_blocks > 1:
+        cuts = sorted(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False).tolist())
+    bounds = [0, *cuts, dim]
+    sizes = np.diff(bounds)
+    mu = np.sort(rng.random(n_blocks))[::-1]  # per-block levels, decreasing
+    # x is each block's mean.  A block of one or two entries has one sum whatever
+    # the order of summation, so ``reduceat`` gives ``mean``'s bits there; a
+    # longer block keeps ``mean``, whose order of summation is numpy's own.
+    x = np.repeat(np.add.reduceat(y, bounds[:-1]) / sizes, sizes)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo > 2:
+            x[lo:hi] = y[lo:hi].mean()
+    weights = np.repeat(mu, sizes)
     weights /= float(weights @ x)  # then weights @ y == 1 as well, by the ties
-    return (
-        ProbVec(x),
-        ProbVec(y),
-        tuple(weights.tolist()),
-    )
+    return x, y, weights
+
+
+def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[float, ...]]:
+    """``random_tied_rows`` as two vectors and a tuple of weights."""
+    x, y, weights = random_tied_rows(dim, rng)
+    return ProbVec(x), ProbVec(y), tuple(weights.tolist())

@@ -49,7 +49,7 @@ from .protocols import (
 )
 from .sampling import (
     random_prob_rows,
-    random_tied_majorization,
+    random_tied_rows,
     robin_hood_rows,
     sharpening_rows,
     transfer_draws,
@@ -367,9 +367,8 @@ def _monotone_soundness(a: _Pairs, rows, _):
 
 
 def _tied_rows(draws):
-    """``(N, d)`` rows of x, y and the weights of N ``random_tied_majorization`` draws."""
-    xs, ys, weights = zip(*draws)
-    return _rows(xs), _rows(ys), np.array(weights)
+    """``(N, d)`` rows of x, y and the weights of N ``random_tied_rows`` draws."""
+    return tuple(np.array(rows) for rows in zip(*draws))
 
 
 # name -> (needs incomparable pairs, draws of one instance from (dim, rng) or None,
@@ -379,7 +378,7 @@ CHECKERS = {
         a.P[rows], a.Q[rows], a.meet[rows], a.join[rows], draws)),
     "meet-monotones": (False, None, lambda a, rows, _: _check_meet_monotones(
         a.P[rows], a.Q[rows], a.meet[rows])),
-    "hadamard-order": (False, lambda dim, rng: random_tied_majorization(dim, rng),
+    "hadamard-order": (False, lambda dim, rng: random_tied_rows(dim, rng),
                        lambda a, rows, draws: _check_hadamard(*_tied_rows(draws))),
     "equal-optimal-prob": (True, None, lambda a, rows, _: _check_equal_optimal_prob(
         a.P[rows], a.Q[rows], a.meet[rows])),

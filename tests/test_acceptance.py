@@ -29,7 +29,7 @@ from majlat.sampling import (
     random_incomparable_pairs,
     random_prob_rows,
     random_prob_vecs,
-    random_tied_majorization,
+    random_tied_rows,
 )
 from majlat.schmidt import MajOrder, canonicalize, compare
 from majlat.sweep import (
@@ -203,9 +203,9 @@ def test_criterion_4_monotone_max_and_hadamard():
             result for group in by_dim(pairs)
             for result in _check_meet_monotones(*pair_rows(group))
         ))
-        tied = [random_tied_majorization(2 + i % 7, rng) for i in range(10_000)]
+        tied = [random_tied_rows(2 + i % 7, rng) for i in range(10_000)]
         lemma2 = tally("hadamard-order", (
-            result for group in by_dim(tied)
+            result for group in by_dim(tied, lambda instance: instance[0].size)
             for result in _check_hadamard(*_tied_rows(group))
         ))
         print(f"  lemma-1 dev = {-lemma1.worst_slack:.3e}, "

@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from majlat import lattice
 from majlat.errors import EmptyCollection
 from majlat.lattice import (
+    _REPLAY_WIDTH,
     _lower_hull,
+    _popping_points,
+    _row_hulls,
     _stacked,
     _suffix_sums,
-    cumulative_sums,
     join,
     join_many,
     least_concave_majorant,
     meet,
+    join_rows,
     meet_many,
 )
 from majlat.sampling import (
+    random_prob_rows,
     random_prob_vecs,
     random_tied_majorization,
     robin_hood_transfer,
@@ -58,11 +63,6 @@ def test_join_idempotent(worked_pair):
 def test_join_with_bottom(worked_pair):
     p, _ = worked_pair
     assert join(uniform(3), p).entries == pytest.approx(p.entries, **APPROX)
-
-
-def test_cumulative_sums(worked_pair):
-    p, q = worked_pair
-    assert cumulative_sums(meet(p, q)) == pytest.approx((0.0, 0.5, 0.8, 1.0), **APPROX)
 
 
 def test_meet_many_reductions(worked_pair):
@@ -150,6 +150,91 @@ def test_every_join_is_exactly_sorted_and_constant_on_each_hull_edge():
                     assert np.all(arr[a:b] == arr[a]), (d, k, a, b)
 
 
+# --- the run-table replay against the plain monotone chain -----------------
+
+def reference_hull(x, y) -> list[int]:
+    """Andrew's monotone chain, one point at a time: the loop the replay must equal."""
+    hull = [0]
+    for k in range(1, len(x)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (y[j] - y[i]) * (x[k] - x[j]) >= (y[k] - y[j]) * (x[j] - x[i]):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    return hull
+
+
+def _tie_heavy_groups(d: int, rng) -> list[np.ndarray]:
+    """``(k, d)`` groups whose envelopes have collinear runs, equal slopes and ties."""
+    groups = []
+    for k in (2, 3, 5):
+        units = 2 ** int(rng.integers(2, 12))  # dyadic entries: every sum is exact
+        groups.append(-np.sort(-rng.multinomial(units, np.ones(d) / d, size=k), axis=1) / units)
+        groups.append(np.array([random_tied_majorization(d, rng)[0].as_array() for _ in range(k)]))
+        tails = random_prob_rows(d, k, rng)
+        for row in tails:  # zero tails, renormalised
+            row[int(rng.integers(1, d + 1)):] = 0.0
+            row /= row.sum()
+        groups.append(tails)
+        member = random_prob_rows(d, 1, rng)
+        groups.append(np.concatenate([member, member, random_prob_rows(d, k - 1, rng)]))
+        groups.append(np.full((k, d), 1.0 / d))  # one collinear run
+    return groups
+
+
+def _envelope(group: np.ndarray) -> np.ndarray:
+    return np.minimum.reduce(_suffix_sums(group), axis=-2)
+
+
+def _replay_cases():
+    rng = np.random.default_rng(4000)
+    for d in (64, 512, 1024):
+        for k in range(2, 9):
+            for _ in range(3):
+                yield random_prob_rows(d, k, rng)
+    for d in (3, 8, 64, _REPLAY_WIDTH - 2, _REPLAY_WIDTH - 1, 512):
+        yield from _tie_heavy_groups(d, rng)
+
+
+REPLAY_CASES = list(_replay_cases())
+
+
+def test_the_replayed_chain_is_the_reference_chain():
+    for group in REPLAY_CASES:
+        for y in (_envelope(group), -np.cumsum(group[0])):  # a join's points; a concave curve's
+            x = np.arange(y.size, dtype=float).tolist()
+            ref = reference_hull(range(y.size), y.tolist())
+            assert _lower_hull(x, y.tolist()) == ref
+            assert _lower_hull(x, y.tolist(), _popping_points(y[None])[0]) == ref, group.shape
+            assert _row_hulls(y[None]) == [ref]
+
+
+def _reference_join_rows(stack, monkeypatch) -> np.ndarray:
+    """``join_rows`` with every hull taken by the reference chain."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_lower_hull", lambda x, y, pops=None: reference_hull(range(len(x)), y))
+        return join_rows(stack)
+
+
+@pytest.mark.parametrize("d", [3, 8, 64, _REPLAY_WIDTH - 2, _REPLAY_WIDTH - 1, 512])
+def test_join_rows_keeps_the_reference_chains_bits_on_both_sides_of_the_cut_off(d, monkeypatch):
+    """Rows of d + 1 points: ``_REPLAY_WIDTH - 2`` is the widest plain chain."""
+    rng = np.random.default_rng(5000 + d)
+    stacks = [random_prob_rows(d, 16 * k, rng).reshape(16, k, d) for k in (2, 4, 8)]
+    ties = [g for g in _tie_heavy_groups(d, rng) if len(g) == 3]
+    stacks.append(np.array(ties))
+    for stack in stacks:
+        got = join_rows(stack)
+        assert np.array_equal(got, _reference_join_rows(stack, monkeypatch))
+        for group, row in zip(stack, got):
+            assert np.array_equal(join_rows(group), row)
+    for group in REPLAY_CASES:
+        if group.shape[-1] == d:
+            assert np.array_equal(join_rows(group), _reference_join_rows(group, monkeypatch))
+
+
 class TestLeastConcaveMajorant:
     def test_concave_input_unchanged(self):
         vals = [0.0, 0.6, 0.9, 1.0]
@@ -159,6 +244,19 @@ class TestLeastConcaveMajorant:
         env = least_concave_majorant([0.0, 0.2, 0.9, 1.0])
         assert env == pytest.approx([0.0, 0.45, 0.9, 1.0])
         assert np.all(np.diff(np.diff(env)) <= 1e-12)
+
+    @pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, -np.inf],
+                                        [[0.0, 0.5], [0.5, 1.0]], 0.5, {}, [0, 10**400, 1]])
+    def test_rejects_values_it_cannot_honour(self, values):
+        with pytest.raises(ValueError):
+            least_concave_majorant(values)
+
+    def test_a_long_input_is_the_reference_chains_envelope(self):
+        vals = np.cumsum(random_prob_rows(600, 1, np.random.default_rng(7))[0])
+        vals[::7] -= 1e-3  # dents, so the envelope bridges some points
+        hull = reference_hull(range(vals.size), (-vals).tolist())
+        assert np.array_equal(least_concave_majorant(vals),
+                              np.interp(np.arange(vals.size), hull, vals[hull]))
 
     @given(rngs(), st.integers(2, 10))
     def test_envelope_properties(self, rng, n):

@@ -33,6 +33,7 @@ KEEP = {
     "majorizes_margin",
     "monotones",
     "partial_sum_margins",
+    "random_tied_majorization",
     "robin_hood_transfer",
     "sharpening_transfer",
     "uniform",

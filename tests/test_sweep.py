@@ -121,7 +121,7 @@ def _lopsided_outcome(state, kraus):
 
 
 def _reversed_weights(dim, rng):
-    x, y, a = sampling.random_tied_majorization(dim, rng)
+    x, y, a = sampling.random_tied_rows(dim, rng)
     return x, y, a[::-1]
 
 
@@ -131,7 +131,7 @@ def _reversed_weights(dim, rng):
 TAMPERED = {
     "axioms": {"meet_rows": _first_member},
     "meet-monotones": {"meet_rows": _first_member},
-    "hadamard-order": {"random_tied_majorization": _reversed_weights},
+    "hadamard-order": {"random_tied_rows": _reversed_weights},
     "equal-optimal-prob": {"meet_rows": _first_member},
     "residual-order": {"plan_vidal": protocols.plan_thrifty, "plan_thrifty": protocols.plan_vidal},
     "multi-state": {"meet_rows": _first_member},
