@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyCollection
-from .schmidt import ProbVec
+from .schmidt import ProbVec, stack_rows
 
 
 _REPLAY_WIDTH = 80  # rows of fewer points run the plain chain: the numpy pass costs more than it saves
@@ -157,15 +157,6 @@ def _suffix_sums(entries: np.ndarray) -> np.ndarray:
     return s
 
 
-def _stacked(vs) -> np.ndarray:
-    """``(k, d)`` entries of the inputs, zero-padded to the largest dimension d."""
-    d = max(v.dim for v in vs)
-    rows = np.zeros((len(vs), d))
-    for i, v in enumerate(vs):
-        rows[i, : v.dim] = v.as_array()
-    return rows
-
-
 # Row kernels: a ``(k, d)`` stack of k inputs gives one result, an ``(N, k, d)``
 # stack one result row per group of k.  A group with fewer members may repeat
 # one of them, which leaves the max and the min, hence the result, unchanged.
@@ -195,29 +186,21 @@ def join_rows(stack: np.ndarray) -> np.ndarray:
     return np.maximum(slopes.reshape(lower.shape)[..., :-1], 0.0)
 
 
-def _meet(vs) -> ProbVec:
-    return ProbVec(meet_rows(_stacked(vs)))
-
-
-def _join(vs) -> ProbVec:
-    return ProbVec(join_rows(_stacked(vs)))
-
-
 def meet(p: ProbVec, q: ProbVec) -> ProbVec:
     """Greatest lower bound: the most ordered vector majorized by both inputs."""
-    return _meet((p, q))
+    return ProbVec(meet_rows(stack_rows((p, q))))
 
 
 def join(p: ProbVec, q: ProbVec) -> ProbVec:
     """Least upper bound: the most disordered vector that majorizes both inputs."""
-    return _join((p, q))
+    return ProbVec(join_rows(stack_rows((p, q))))
 
 
-def _many(op, vs) -> ProbVec:
+def _many(kernel, vs) -> ProbVec:
     vs = tuple(vs)
     if not vs:
         raise EmptyCollection("need at least one vector")
-    return vs[0] if len(vs) == 1 else op(vs)
+    return vs[0] if len(vs) == 1 else ProbVec(kernel(stack_rows(vs)))
 
 
 def meet_many(vs) -> ProbVec:
@@ -226,7 +209,7 @@ def meet_many(vs) -> ProbVec:
     One pass for any number of inputs, padded to the largest dimension; a
     single input is returned as it is.
     """
-    return _many(_meet, vs)
+    return _many(meet_rows, vs)
 
 
 def join_many(vs) -> ProbVec:
@@ -235,4 +218,4 @@ def join_many(vs) -> ProbVec:
 
     Padded to the largest dimension; a single input is returned as it is.
     """
-    return _many(_join, vs)
+    return _many(join_rows, vs)

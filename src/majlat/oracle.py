@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,14 +83,10 @@ class OutcomeStats:
     rng_algorithm: str = RNG_ALGORITHM
 
     def to_dict(self) -> dict:
-        return {
-            "shots": self.shots,
-            "successes": self.successes,
-            "empirical_rate": self.empirical_rate,
-            "residual_mean": None if self.residual_mean is None else list(self.residual_mean),
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-        }
+        doc = asdict(self)
+        if self.residual_mean is not None:
+            doc["residual_mean"] = list(self.residual_mean)  # a JSON array, as read back
+        return doc
 
 
 def _reported_seed(seed) -> int | None:

@@ -29,7 +29,8 @@ from .errors import DegenerateBranch, MajlatError, RankDeficit
 from .lattice import join, join_many, meet, meet_many
 from .ladder import (RatioLadder, _check_ranks, _intermediate, monotone_rows, r_vector,
                      ratio_ladder)
-from .schmidt import MajOrder, ProbVec, compare, effective_rank, max_deviation
+from .schmidt import (MajOrder, ProbVec, compare, effective_rank, margin_rows, max_deviation,
+                      stack_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +364,9 @@ def step_monotone_slacks(steps) -> list[float]:
         groups.setdefault((d, len(outs)), []).append(i)
     slacks = [0.0] * len(steps)
     for (d, n_outs), members in groups.items():
-        def rows(states):
-            return np.array([s.padded(d).as_array() for s in states])
-
         stacked = [(np.array([[outcomes[i][o][0]] for i in members]),
-                    rows([outcomes[i][o][1] for i in members])) for o in range(n_outs)]
-        group = _step_slack_rows(rows([steps[i].from_state for i in members]), stacked)
+                    stack_rows([outcomes[i][o][1] for i in members], d)) for o in range(n_outs)]
+        group = _step_slack_rows(stack_rows([steps[i].from_state for i in members], d), stacked)
         for i, slack in zip(members, group.tolist()):
             slacks[i] = slack
     return slacks
@@ -392,8 +390,9 @@ def validate_plan(plan: ConversionPlan) -> None:
           entry below -epsilon);
        b. a deterministic step is not a majorization move;
        c. a probabilistic step lacks Kraus data or a probability, claims a
-          probability outside (0, 1], has Kraus diagonals that violate
-          completeness or whose length differs from its input's, or claims a
+          probability outside (0, 1], has Kraus diagonals of unequal lengths
+          or that violate completeness, or of a length other than its input's
+          (empty ones included), or claims a
           success probability, success state or failure state other than
           what its Kraus operators give (checked in that order).
     """
@@ -403,10 +402,8 @@ def validate_plan(plan: ConversionPlan) -> None:
         raise ValueError("plan has no steps")
     states = [s for step in steps for s in (step.from_state, step.to_state)]
     dims = [s.dim for s in states]
-    width = max(dims)
-    rows = np.zeros((len(states), width))  # row 2i: from-state of step i, row 2i+1: its to-state
-    for r, state in enumerate(states):
-        rows[r, : state.dim] = state.as_array()
+    rows = stack_rows(states)  # row 2i: from-state of step i, row 2i+1: its to-state
+    width = rows.shape[1]
     with np.errstate(all="ignore"):  # non-finite entries fail the checks, silently
         if len(steps) > 1:
             gaps = max_deviation(rows[1:-1:2], rows[2::2])
@@ -423,8 +420,7 @@ def validate_plan(plan: ConversionPlan) -> None:
         excess = np.concatenate((rows[:, 1:] - rows[:, :-1], -rows, np.abs(sums - 1.0)[:, None]),
                                 axis=1)
         canonical = (np.maximum.reduce(excess, axis=1) <= eps).tolist()
-        cums = np.cumsum(rows, axis=1)
-        margins = cums[1::2, :-1] - cums[0::2, :-1]  # column k: margin over the first k+1 entries
+        margins = margin_rows(rows[0::2], rows[1::2])  # column k: over the first k+1 entries
         for i, pair_dim in enumerate(map(max, dims[0::2], dims[1::2])):
             if pair_dim < width:  # a step's margins stop at its own dimension - 1
                 margins[i, pair_dim - 1:] = 0.0
@@ -443,7 +439,7 @@ def validate_plan(plan: ConversionPlan) -> None:
         if not (0.0 < step.success_prob <= 1.0):
             raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
         m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
-        if not np.abs(m_sq + n_sq - 1.0).max() <= eps:
+        if not (m_sq.size == n_sq.size and np.abs(m_sq + n_sq - 1.0).max(initial=0.0) <= eps):
             raise ValueError("Kraus diagonals violate completeness")
         p, success, failure = _branch_rows(rows[2 * i, : dims[2 * i]], m_sq, n_sq)
         if not abs(p - step.success_prob) <= eps:
@@ -506,7 +502,10 @@ def _name(raw, what: str) -> str:
 
 
 def _field(doc: dict, key: str, where: str):
-    """``doc[key]``; a missing key is a ValueError that names it and ``where`` it belongs."""
+    """``doc[key]``; a ValueError names ``where`` if ``doc`` is not a JSON object, and
+    the key and ``where`` it belongs if the key is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
     try:
         return doc[key]
     except KeyError:
@@ -614,6 +613,8 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
     residual = doc.get("residual")
     ladder = doc.get("ladder")
     try:
+        if not isinstance(doc["steps"], list):
+            raise ValueError("steps must be a JSON array")
         steps = tuple(step_from_dict(s, f"steps[{i}]") for i, s in enumerate(doc["steps"]))
         plan = ConversionPlan(
             protocol=_name(_field(doc, "protocol", "the plan"), "protocol"),

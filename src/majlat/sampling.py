@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schmidt import ProbVec
+from .schmidt import ProbVec, margin_rows
 
 
 def random_prob_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -30,11 +30,9 @@ def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, 
     pairs: list[tuple[ProbVec, ProbVec]] = []
     while len(pairs) < count:
         n = max(count - len(pairs), 256)
-        a = np.sort(rng.dirichlet(np.ones(dim), size=n), axis=1)[:, ::-1]
-        b = np.sort(rng.dirichlet(np.ones(dim), size=n), axis=1)[:, ::-1]
-        ca = np.cumsum(a, axis=1)[:, :-1]
-        cb = np.cumsum(b, axis=1)[:, :-1]
-        mask = np.any(ca > cb, axis=1) & np.any(cb > ca, axis=1)
+        a, b = random_prob_rows(dim, n, rng), random_prob_rows(dim, n, rng)
+        margins = margin_rows(a, b)  # one of each sign: neither majorizes the other
+        mask = np.any(margins < 0.0, axis=1) & np.any(margins > 0.0, axis=1)
         for pa, pb in zip(a[mask], b[mask]):
             pairs.append((ProbVec(pa), ProbVec(pb)))
             if len(pairs) == count:

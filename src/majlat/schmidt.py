@@ -136,6 +136,15 @@ def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:
     return p.padded(d).as_array(), q.padded(d).as_array()
 
 
+def stack_rows(vs, width: int | None = None) -> np.ndarray:
+    """``(k, width)`` entries of k vectors, one fresh row each, zero-padded to
+    ``width`` (by default the largest dimension)."""
+    rows = np.zeros((len(vs), max(v.dim for v in vs) if width is None else width))
+    for i, v in enumerate(vs):
+        rows[i, : v.dim] = v.as_array()
+    return rows
+
+
 # Row kernels: each takes entries along the last axis, so one (d,) array or an
 # (N, d) stack of N rows, and is the one copy of its arithmetic; the functions
 # on vectors call it on their entries.
@@ -167,7 +176,8 @@ def below_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Largest absolute entrywise difference, row by row, after zero padding the shorter.
+    """Largest absolute entrywise difference, row by row, after zero padding the shorter
+    (0 for empty rows).
 
     NaN where a difference is NaN (inf - inf gives one), so every ``<= tol`` test fails.
     """
@@ -175,7 +185,7 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         width = max(a.shape[-1], b.shape[-1])
         a, b = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, width - x.shape[-1])]) for x in (a, b))
     with np.errstate(invalid="ignore"):
-        return np.maximum.reduce(np.abs(a - b), axis=-1)
+        return np.maximum.reduce(np.abs(a - b), axis=-1, initial=0.0)
 
 
 def partial_sum_margins(p: ProbVec, q: ProbVec) -> np.ndarray:

@@ -54,7 +54,7 @@ from .sampling import (
     sharpening_rows,
     transfer_draws,
 )
-from .schmidt import ProbVec, below_rows, max_deviation, min_margin_rows
+from .schmidt import ProbVec, below_rows, max_deviation, min_margin_rows, stack_rows
 
 EQUALITY_TOL = 1e-12
 MARGIN_FLOOR = -1e-9
@@ -119,11 +119,6 @@ def _desc(*rows) -> dict:
 
 def _plan_desc(plan: ConversionPlan) -> dict:
     return _desc(plan.ladder.source.as_array(), plan.ladder.target.as_array())
-
-
-def _rows(vecs) -> np.ndarray:
-    """``(N, d)`` entries of N vectors of one dimension."""
-    return np.array([v.as_array() for v in vecs])
 
 
 def _first_min(*columns) -> list[float]:
@@ -237,15 +232,16 @@ def _check_equal_optimal_prob(P, Q, M) -> list:
         "check": "equal-optimal-prob", "deviation": -slack, **_desc(P[i], Q[i])})
 
 
-def _check_residual_order(greedy, thrifty) -> list:
-    """Theorem 2: thrifty residual and intermediate are majorized by the greedy (Vidal) ones."""
+def _check_residual_order(vidal, thrifty) -> list:
+    """Theorem 2: thrifty residual and intermediate are majorized by the Vidal (greedy) ones."""
     slack = _first_min(
-        min_margin_rows(_rows(t.residual for t in thrifty), _rows(g.residual for g in greedy)),
-        min_margin_rows(_rows(t.steps[0].to_state for t in thrifty),
-                        _rows(g.steps[0].to_state for g in greedy)),
+        min_margin_rows(stack_rows([t.residual for t in thrifty]),
+                        stack_rows([v.residual for v in vidal])),
+        min_margin_rows(stack_rows([t.steps[0].to_state for t in thrifty]),
+                        stack_rows([v.steps[0].to_state for v in vidal])),
     )
     return _results(np.array(slack) >= MARGIN_FLOOR, slack, lambda i, _: {
-        "check": "residual-order", **_plan_desc(greedy[i])})
+        "check": "residual-order", **_plan_desc(vidal[i])})
 
 
 def _draw_multi_state(dim: int, rng):

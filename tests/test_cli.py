@@ -568,6 +568,56 @@ def test_simulate_rejects_a_plan_file_with_negative_entries(tmp_path):
     assert "non-canonical" in err
 
 
+def _kraus_m_diag_cut(doc):
+    doc["steps"][1]["kraus"]["m_diag"] = doc["steps"][1]["kraus"]["m_diag"][:2]
+
+
+def _kraus_diags_empty(doc):
+    doc["steps"][1]["kraus"] = {"m_diag": [], "n_diag": []}
+
+
+def _states_empty(doc):
+    for step in doc["steps"]:
+        for end in ("from", "to", "failure"):
+            if end in step:
+                step[end]["state"] = []
+    doc["ladder"] = doc["residual"] = None
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_kraus_m_diag_cut, "error: Kraus diagonals violate completeness\n"),
+    (_kraus_diags_empty, "error: state dimension 3 != Kraus dimension 0\n"),
+    (_states_empty, "error: non-canonical state in step source->intermediate\n"),
+], ids=["m-diag-cut", "diags-empty", "states-empty"])
+def test_simulate_names_bad_kraus_data_and_empty_states_in_its_own_words(tmp_path, tamper,
+                                                                         message):
+    doc = plan_to_dict(plan_vidal(canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])))
+    tamper(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("simulate", "--plan", str(path), "--shots", "10")
+    assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc.update(steps={"a": 1}), "steps must be a JSON array"),
+    (lambda doc: doc.update(steps="ab"), "steps must be a JSON array"),
+    (lambda doc: doc["steps"].__setitem__(0, [1]), "steps[0] must be a JSON object"),
+    (lambda doc: doc["steps"][1].update(failure=[1]), "steps[1].failure must be a JSON object"),
+    (lambda doc: doc["steps"][1].update(kraus="x"), "steps[1].kraus must be a JSON object"),
+    (lambda doc: doc["steps"][0].update({"to": 5}), "steps[0].to must be a JSON object"),
+    (lambda doc: doc.update(ladder=[1]), "the ladder must be a JSON object"),
+], ids=["steps-object", "steps-string", "step-array", "failure-array", "kraus-string",
+        "to-number", "ladder-array"])
+def test_simulate_names_a_plan_field_of_the_wrong_json_container(tmp_path, tamper, message):
+    doc = plan_to_dict(plan_thrifty(canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])))
+    tamper(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("simulate", "--plan", str(path), "--shots", "10")
+    assert (code, out, err) == (2, "", f"error: malformed plan document: {message}\n")
+
+
 @pytest.mark.parametrize("residual", [[1.0, 0.0, 0.0], [0.3, 0.3]])
 def test_simulate_rejects_a_plan_file_whose_residual_is_not_its_failure_state(tmp_path, residual):
     path = tmp_path / "plan.json"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from majlat.errors import RankDeficit
-from majlat.lattice import _stacked, join_many, join_rows, meet_many, meet_rows
+from majlat.lattice import join_many, join_rows, meet_many, meet_rows
 from majlat.ladder import p_max, p_max_rows
 from majlat.sampling import (
     random_prob_vecs,
@@ -31,6 +31,7 @@ from majlat.schmidt import (
     min_margin_rows,
     partial_sum_margins,
     rank_rows,
+    stack_rows,
 )
 
 DIMS = (2, 3, 8, 64, 512)
@@ -46,16 +47,12 @@ def _vectors(d: int, n: int, rng) -> list[ProbVec]:
     return vs
 
 
-def _rows(vs) -> np.ndarray:
-    return np.array([v.as_array() for v in vs])
-
-
 @pytest.mark.parametrize("d", DIMS)
 def test_meet_and_join_rows_match_each_group_alone(d):
     rng = np.random.default_rng(d)
     groups = [_vectors(d, k, rng) for k in (2, 3, 5, 2, 4, 3)]
     k = max(map(len, groups))
-    stack = np.array([_stacked(g + g[:1] * (k - len(g))) for g in groups])  # repeats pad
+    stack = np.array([stack_rows(g + g[:1] * (k - len(g))) for g in groups])  # repeats pad
     for rows, many in ((meet_rows(stack), meet_many), (join_rows(stack), join_many)):
         for row, group in zip(rows, groups):
             assert np.array_equal(row, many(group).as_array())
@@ -66,9 +63,9 @@ def test_margin_rows_match_each_pair_alone(d):
     rng = np.random.default_rng(d)
     ps, qs = _vectors(d, 12, rng), _vectors(d, 12, rng)
     ps[1] = qs[1]  # one equivalent pair
-    margins = margin_rows(_rows(ps), _rows(qs))
-    lows = min_margin_rows(_rows(ps), _rows(qs))
-    p_below_q, q_below_p = below_rows(_rows(ps), _rows(qs))
+    margins = margin_rows(stack_rows(ps), stack_rows(qs))
+    lows = min_margin_rows(stack_rows(ps), stack_rows(qs))
+    p_below_q, q_below_p = below_rows(stack_rows(ps), stack_rows(qs))
     for i, (p, q) in enumerate(zip(ps, qs)):
         assert np.array_equal(margins[i], partial_sum_margins(p, q))
         assert lows[i] == majorizes_margin(p, q)
@@ -80,7 +77,7 @@ def test_margin_rows_match_each_pair_alone(d):
 @pytest.mark.parametrize("d", DIMS)
 def test_rank_rows_are_the_effective_ranks_as_ints(d):
     vs = _vectors(d, 7, np.random.default_rng(d))
-    ranks = rank_rows(_rows(vs))
+    ranks = rank_rows(stack_rows(vs))
     assert ranks == [effective_rank(v) for v in vs]
     assert all(type(r) is int for r in ranks + [effective_rank(vs[0])])
 
@@ -90,7 +87,7 @@ def test_p_max_rows_match_each_pair_alone(d):
     rng = np.random.default_rng(d)
     ps, qs = _vectors(d, 12, rng), _vectors(d, 12, rng)
     ps = [p if p.as_array()[-1] > 0 else q for p, q in zip(ps, qs)]  # no rank deficit
-    got = p_max_rows(_rows(ps), _rows(qs))
+    got = p_max_rows(stack_rows(ps), stack_rows(qs))
     assert got.tolist() == [p_max(p, q) for p, q in zip(ps, qs)]
 
 
@@ -126,6 +123,6 @@ def test_transfer_rows_match_the_transfer_of_each_vector(d, rows, transfer):
     rng = np.random.default_rng(d)
     vs = _vectors(d, 6, rng)
     draws = [transfer_draws(d, np.random.default_rng(i), 3) for i in range(len(vs))]
-    got = rows(_rows(vs), np.array([i for i, _ in draws]), np.array([u for _, u in draws]))
+    got = rows(stack_rows(vs), np.array([i for i, _ in draws]), np.array([u for _, u in draws]))
     for i, v in enumerate(vs):
         assert np.array_equal(got[i], transfer(v, np.random.default_rng(i), steps=3).as_array())

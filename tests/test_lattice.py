@@ -12,7 +12,6 @@ from majlat.lattice import (
     _lower_hull,
     _popping_points,
     _row_hulls,
-    _stacked,
     _suffix_sums,
     join,
     join_many,
@@ -28,7 +27,8 @@ from majlat.sampling import (
     robin_hood_transfer,
     sharpening_transfer,
 )
-from majlat.schmidt import MajOrder, ProbVec, canonicalize, compare, majorizes_margin, uniform
+from majlat.schmidt import (MajOrder, ProbVec, canonicalize, compare, majorizes_margin, stack_rows,
+                            uniform)
 
 from conftest import prob_vec_pairs, prob_vecs, rngs
 
@@ -140,7 +140,7 @@ def test_every_join_is_exactly_sorted_and_constant_on_each_hull_edge():
     for d, k in itertools.product((3, 8, 64, 512), (2, 4, 8)):
         for _ in range(20 if d <= 64 else 4):
             vs = _collection(d, k, rng)
-            lower = np.minimum.reduce(_suffix_sums(_stacked(vs)))
+            lower = np.minimum.reduce(_suffix_sums(stack_rows(vs)))
             hull = _lower_hull(range(lower.size), lower.tolist())
             results = [join_many(vs)] + ([join(*vs)] if k == 2 else [])
             for res in results:

@@ -569,7 +569,7 @@ def reference_validate_plan(plan):
         if not (0.0 < step.success_prob <= 1.0):
             raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
         m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
-        if not np.max(np.abs(m_sq + n_sq - 1.0)) <= eps:
+        if not (m_sq.size == n_sq.size and np.max(np.abs(m_sq + n_sq - 1.0)) <= eps):
             raise ValueError("Kraus diagonals violate completeness")
         p, success, failure = _reference_apply_two_outcome(step.from_state, step.kraus)
         if not abs(p - step.success_prob) <= eps:

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import tracemalloc
 
@@ -25,6 +26,7 @@ from majlat.schmidt import (
     canonicalize,
     compare,
     effective_rank,
+    stack_rows,
     uniform,
 )
 
@@ -237,3 +239,37 @@ def test_every_producer_returns_a_read_only_float64_array(name):
     arr = PRODUCERS[name].as_array()
     assert arr.dtype == np.float64 and arr.ndim == 1 and arr.flags.c_contiguous
     assert not arr.flags.writeable
+
+
+def test_stack_rows_zero_pads_each_vector_into_a_fresh_writable_row():
+    vs = [canonicalize([0.5, 0.3, 0.2]), canonicalize([1.0]), canonicalize([0.4, 0.4, 0.1, 0.1])]
+    rows = stack_rows(vs)
+    assert rows.dtype == np.float64 and rows.shape == (3, 4)
+    assert rows.tolist() == [[0.5, 0.3, 0.2, 0.0], [1.0, 0.0, 0.0, 0.0], [0.4, 0.4, 0.1, 0.1]]
+    assert rows.flags.writeable and rows.flags.c_contiguous
+    wide = stack_rows(vs[:2], 6)
+    assert wide.shape == (2, 6)
+    assert wide.tolist() == [[0.5, 0.3, 0.2, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+    rows[0, 0] = 9.0  # the rows are copies: the vectors keep their entries
+    assert vs[0].entries == (0.5, 0.3, 0.2)
+    assert not np.shares_memory(rows, vs[0].as_array())
+
+
+# sha256 of the pairs' entries, and the generator's next uniform, recorded before
+# the sampler drew through ``random_prob_rows`` and filtered by ``margin_rows``
+INCOMPARABLE_PAIRS_PINNED = {
+    3: ("936af15e205e8d701274f64ba4c6f8e8617def9aaa401d8efc18302060762755", 0.3848144107112571),
+    8: ("d3033c427ae93b08e17817cfe47aa6c77d50216ea6bd0c051c9063581b435289", 0.15715394347792333),
+    64: ("e42504e7dc2a7e3265278c67be2b7061eb9298dae92207c92eb69cc13e47db96", 0.048738100874211154),
+    512: ("daf7d340ccfe633727d5d5873c401da531224782d6577be7c8e578311c3935d1", 0.7540030235690361),
+}
+
+
+@pytest.mark.parametrize("dim", list(INCOMPARABLE_PAIRS_PINNED))
+def test_random_incomparable_pairs_keep_their_bits_and_their_draws(dim):
+    rng = np.random.default_rng(19)
+    digest = hashlib.sha256()
+    for p, q in random_incomparable_pairs(dim, 300, rng):
+        digest.update(p.as_array().tobytes())
+        digest.update(q.as_array().tobytes())
+    assert (digest.hexdigest(), rng.random()) == INCOMPARABLE_PAIRS_PINNED[dim]
