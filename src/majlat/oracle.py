@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class OutcomeStats:
     rng_algorithm: str = RNG_ALGORITHM
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        doc = dict(vars(self))  # a shallow copy: ``asdict`` would deep-copy each float
         if self.residual_mean is not None:
             doc["residual_mean"] = list(self.residual_mean)  # a JSON array, as read back
         return doc

@@ -339,16 +339,6 @@ def step_outcomes(step: PlanStep) -> list[tuple[float, ProbVec]]:
     return outs
 
 
-def _step_slack_rows(from_rows: np.ndarray, outcomes) -> np.ndarray:
-    """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, row by row.
-
-    ``outcomes`` holds one (probabilities, rows) pair per outcome, the
-    probabilities as an ``(N, 1)`` column for ``(N, d)`` rows.
-    """
-    e_avg = sum(prob * monotone_rows(out) for prob, out in outcomes)
-    return (monotone_rows(from_rows) - e_avg).min(axis=-1)
-
-
 def step_monotone_slacks(steps) -> list[float]:
     """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, for each step.
 
@@ -364,10 +354,11 @@ def step_monotone_slacks(steps) -> list[float]:
         groups.setdefault((d, len(outs)), []).append(i)
     slacks = [0.0] * len(steps)
     for (d, n_outs), members in groups.items():
-        stacked = [(np.array([[outcomes[i][o][0]] for i in members]),
-                    stack_rows([outcomes[i][o][1] for i in members], d)) for o in range(n_outs)]
-        group = _step_slack_rows(stack_rows([steps[i].from_state for i in members], d), stacked)
-        for i, slack in zip(members, group.tolist()):
+        e_avg = sum(np.array([[outcomes[i][o][0]] for i in members])
+                    * monotone_rows(stack_rows([outcomes[i][o][1] for i in members], d))
+                    for o in range(n_outs))
+        e_in = monotone_rows(stack_rows([steps[i].from_state for i in members], d))
+        for i, slack in zip(members, (e_in - e_avg).min(axis=-1).tolist()):
             slacks[i] = slack
     return slacks
 

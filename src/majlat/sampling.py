@@ -1,16 +1,16 @@
 """Random instance generation for sweeps and tests.
 
 Vectors are drawn uniformly from the probability simplex (flat Dirichlet)
-and sorted descending.  Incomparable pairs come from rejection sampling;
-at dimension 2 every sorted pair is comparable, so callers must not ask
-for incomparable pairs there.
+and sorted descending.  Incomparable pairs come from rejection sampling,
+which gives up where epsilon leaves (next to) none, as at dimension 2.
+Transfers and tied pairs are drawn as rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .schmidt import ProbVec, margin_rows
+from .schmidt import ProbVec, below_rows
 
 
 def random_prob_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -23,20 +23,25 @@ def random_prob_vecs(dim: int, count: int, rng) -> list[ProbVec]:
 
 
 def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, ProbVec]]:
-    """Batch rejection sampling of incomparable pairs (vectorized filter)."""
-    if dim < 3:
-        raise ValueError("all sorted pairs of dimension <= 2 are comparable")
+    """Incomparable pairs by batch rejection sampling: by ``compare``'s rule, some
+    partial-sum margin is below -epsilon and some above +epsilon.  Raises
+    ``ValueError`` after 64 batches in a row (of 256 pairs or more) without one.
+    """
     rng = np.random.default_rng(rng)
     pairs: list[tuple[ProbVec, ProbVec]] = []
-    while len(pairs) < count:
+    misses = 0  # batches in a row without an incomparable pair
+    while len(pairs) < count and misses < 64:
         n = max(count - len(pairs), 256)
         a, b = random_prob_rows(dim, n, rng), random_prob_rows(dim, n, rng)
-        margins = margin_rows(a, b)  # one of each sign: neither majorizes the other
-        mask = np.any(margins < 0.0, axis=1) & np.any(margins > 0.0, axis=1)
+        a_below_b, b_below_a = below_rows(a, b)
+        mask = ~(a_below_b | b_below_a)
+        misses = 0 if mask.any() else misses + 1
         for pa, pb in zip(a[mask], b[mask]):
             pairs.append((ProbVec(pa), ProbVec(pb)))
             if len(pairs) == count:
                 break
+    if misses == 64:  # every pair is comparable at dimension <= 2; a large epsilon leaves few
+        raise ValueError(f"no incomparable pair of dimension {dim} within epsilon in 64 batches")
     return pairs
 
 
@@ -81,22 +86,6 @@ def sharpening_rows(rows: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -
     return out
 
 
-def robin_hood_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
-    """More disordered witness: move mass from a larger to a smaller entry.
-
-    Each step transfers at most half of an adjacent gap, so the vector stays
-    sorted and is majorized by the input.
-    """
-    index, uniforms = transfer_draws(p.dim, rng, steps)
-    return ProbVec(robin_hood_rows(p.as_array()[None], index[None], uniforms[None])[0])
-
-
-def sharpening_transfer(p: ProbVec, rng, steps: int = 1) -> ProbVec:
-    """More ordered witness: move mass from a smaller to a larger entry."""
-    index, uniforms = transfer_draws(p.dim, rng, steps)
-    return ProbVec(sharpening_rows(p.as_array()[None], index[None], uniforms[None])[0])
-
-
 def random_tied_rows(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A pair x majorized by y with shared partial sums, plus admissible weights,
     as three ``(dim,)`` arrays.
@@ -109,7 +98,7 @@ def random_tied_rows(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     weight vector, which is the trivial case.)
     """
     rng = np.random.default_rng(rng)
-    y = np.sort(rng.dirichlet(np.ones(dim)))[::-1]
+    y = random_prob_rows(dim, 1, rng)[0]
     n_blocks = int(rng.integers(1, dim + 1))
     cuts = []
     if n_blocks > 1:
@@ -127,9 +116,3 @@ def random_tied_rows(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     weights = np.repeat(mu, sizes)
     weights /= float(weights @ x)  # then weights @ y == 1 as well, by the ties
     return x, y, weights
-
-
-def random_tied_majorization(dim: int, rng) -> tuple[ProbVec, ProbVec, tuple[float, ...]]:
-    """``random_tied_rows`` as two vectors and a tuple of weights."""
-    x, y, weights = random_tied_rows(dim, rng)
-    return ProbVec(x), ProbVec(y), tuple(weights.tolist())

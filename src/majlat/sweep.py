@@ -84,9 +84,6 @@ class PropertyOutcome:
         if slack is not None:
             self.worst_slack = slack if self.worst_slack is None else min(self.worst_slack, slack)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SweepReport:
@@ -287,27 +284,26 @@ def _check_monotone_soundness(plan_groups) -> list:
         "check": "monotone-soundness", **_plan_desc(plan_groups[i][0])})
 
 
-def _oracle_match(vidal: ConversionPlan) -> tuple[bool, float, dict | None]:
-    measurement = vidal.steps[1]
-    chi, kraus = measurement.from_state, measurement.kraus
-    analytic = apply_two_outcome(chi, kraus)
-    state = embed(chi)
-    p_m, p_n = branch_probabilities(state, kraus)
-    devs = [abs(p_m - analytic.success_prob), abs(p_m + p_n - 1.0)]
-    succ = _branch_spectrum(state, kraus.m_diag, p_m)
-    devs.append(float(max_deviation(succ.as_array(), analytic.success_state.as_array())))
-    if analytic.failure_state is not None:
-        fail = _branch_spectrum(state, kraus.n_diag, p_n)
-        devs.append(float(max_deviation(fail.as_array(), analytic.failure_state.as_array())))
-    dev = max(devs)
-    ok = dev <= ORACLE_TOL
-    return ok, -dev, None if ok else {"check": "oracle-match", "deviation": dev,
-                                      **_plan_desc(vidal)}
-
-
 def _check_oracle_match(plans) -> list:
     """The measurement of each Vidal plan on the dense simulator matches the analytic one."""
-    return [_oracle_match(vidal) for vidal in plans]
+    results = []
+    for vidal in plans:
+        measurement = vidal.steps[1]
+        chi, kraus = measurement.from_state, measurement.kraus
+        analytic = apply_two_outcome(chi, kraus)
+        state = embed(chi)
+        p_m, p_n = branch_probabilities(state, kraus)
+        devs = [abs(p_m - analytic.success_prob), abs(p_m + p_n - 1.0)]
+        succ = _branch_spectrum(state, kraus.m_diag, p_m)
+        devs.append(float(max_deviation(succ.as_array(), analytic.success_state.as_array())))
+        if analytic.failure_state is not None:
+            fail = _branch_spectrum(state, kraus.n_diag, p_n)
+            devs.append(float(max_deviation(fail.as_array(), analytic.failure_state.as_array())))
+        dev = max(devs)
+        ok = dev <= ORACLE_TOL
+        results.append((ok, -dev, None if ok else {"check": "oracle-match", "deviation": dev,
+                                                   **_plan_desc(vidal)}))
+    return results
 
 
 class _Pairs:

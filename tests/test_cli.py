@@ -125,6 +125,13 @@ def test_exit_code_usage_error():
     assert out == ""
 
 
+@pytest.mark.parametrize("dim, eps", [("2", "1e-9"), ("3", "0.5")])
+def test_random_pairs_fail_where_epsilon_leaves_no_incomparable_pair(dim, eps):
+    code, out, err = run_cli("--epsilon", eps, "random", "--dim", dim, "--pairs", "1", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert f"error: no incomparable pair of dimension {dim} within epsilon" in err
+
+
 @pytest.mark.parametrize("argv, option, kind, text", [
     (("sweep", "--count", "many"), "--count", "positive", "many"),
     (("random", "--pairs", "abc"), "--pairs", "non-negative", "abc"),

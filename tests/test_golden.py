@@ -39,7 +39,7 @@ from majlat.protocols import (
     plan_to_dict,
     plan_vidal,
 )
-from majlat.sampling import random_incomparable_pairs, random_prob_vecs, random_tied_majorization
+from majlat.sampling import random_incomparable_pairs, random_prob_vecs, random_tied_rows
 from majlat.schmidt import ProbVec
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -82,8 +82,8 @@ def _cases() -> list[dict]:
                 source = vecs(d, 1)[0]
                 target = vecs(d - zeros, 1)[0] + [0.0] * zeros
             elif kind == "tied":
-                x, y, _ = random_tied_majorization(d, rng)
-                pair = [list(x.entries), list(y.entries)]
+                x, y, _ = random_tied_rows(d, rng)
+                pair = [x.tolist(), y.tolist()]
                 if rng.random() < 0.5:
                     pair.reverse()
                 source, target = pair

@@ -12,14 +12,7 @@ import pytest
 from majlat.errors import RankDeficit
 from majlat.lattice import join_many, join_rows, meet_many, meet_rows
 from majlat.ladder import p_max, p_max_rows
-from majlat.sampling import (
-    random_prob_vecs,
-    robin_hood_rows,
-    robin_hood_transfer,
-    sharpening_rows,
-    sharpening_transfer,
-    transfer_draws,
-)
+from majlat.sampling import random_prob_vecs
 from majlat.schmidt import (
     ProbVec,
     below_rows,
@@ -114,15 +107,3 @@ def test_max_deviation_zero_pads_and_fails_on_nan():
                              np.array([[np.inf, 0.0], [0.0, 0.0]]))
     assert np.isnan(devs).all()
     assert not (devs <= 1.0).any()
-
-
-@pytest.mark.parametrize("d", DIMS)
-@pytest.mark.parametrize("rows, transfer", [(robin_hood_rows, robin_hood_transfer),
-                                            (sharpening_rows, sharpening_transfer)])
-def test_transfer_rows_match_the_transfer_of_each_vector(d, rows, transfer):
-    rng = np.random.default_rng(d)
-    vs = _vectors(d, 6, rng)
-    draws = [transfer_draws(d, np.random.default_rng(i), 3) for i in range(len(vs))]
-    got = rows(stack_rows(vs), np.array([i for i, _ in draws]), np.array([u for _, u in draws]))
-    for i, v in enumerate(vs):
-        assert np.array_equal(got[i], transfer(v, np.random.default_rng(i), steps=3).as_array())

@@ -14,7 +14,7 @@ from majlat.ladder import (
     r_vector,
     ratio_ladder,
 )
-from majlat.sampling import random_incomparable_pairs, random_tied_majorization
+from majlat.sampling import random_incomparable_pairs, random_tied_rows
 from majlat.schmidt import MajOrder, ProbVec, canonicalize, compare, majorizes_margin, pad_pair
 
 from conftest import prob_vec_pairs, prob_vecs, rngs
@@ -253,10 +253,9 @@ def test_equal_conversion_probability_to_meet(dim, rng):
 
 @given(st.integers(2, 8), rngs())
 def test_hadamard_product_preserves_order(dim, rng):
-    x, y, a = random_tied_majorization(dim, rng)
-    weights = np.asarray(a)
-    u = ProbVec(tuple(weights * x.as_array()))
-    v = ProbVec(tuple(weights * y.as_array()))
+    x, y, weights = random_tied_rows(dim, rng)
+    u = ProbVec(tuple(weights * x))
+    v = ProbVec(tuple(weights * y))
     assert sum(u.entries) == pytest.approx(1.0, **APPROX)
     assert sum(v.entries) == pytest.approx(1.0, **APPROX)
     assert majorizes_margin(u, v) >= -1e-9

@@ -23,9 +23,10 @@ from majlat.lattice import (
 from majlat.sampling import (
     random_prob_rows,
     random_prob_vecs,
-    random_tied_majorization,
-    robin_hood_transfer,
-    sharpening_transfer,
+    random_tied_rows,
+    robin_hood_rows,
+    sharpening_rows,
+    transfer_draws,
 )
 from majlat.schmidt import (MajOrder, ProbVec, canonicalize, compare, majorizes_margin, stack_rows,
                             uniform)
@@ -105,7 +106,7 @@ def _collection(d: int, k: int, rng) -> list[ProbVec]:
             counts[0] += 1.0
             vs.append(canonicalize(counts / counts.sum()))
         else:  # block averages: ties
-            vs.append(random_tied_majorization(dim, rng)[0])
+            vs.append(ProbVec(random_tied_rows(dim, rng)[0]))
     return vs
 
 
@@ -172,7 +173,7 @@ def _tie_heavy_groups(d: int, rng) -> list[np.ndarray]:
     for k in (2, 3, 5):
         units = 2 ** int(rng.integers(2, 12))  # dyadic entries: every sum is exact
         groups.append(-np.sort(-rng.multinomial(units, np.ones(d) / d, size=k), axis=1) / units)
-        groups.append(np.array([random_tied_majorization(d, rng)[0].as_array() for _ in range(k)]))
+        groups.append(np.array([random_tied_rows(d, rng)[0] for _ in range(k)]))
         tails = random_prob_rows(d, k, rng)
         for row in tails:  # zero tails, renormalised
             row[int(rng.integers(1, d + 1)):] = 0.0
@@ -245,6 +246,11 @@ class TestLeastConcaveMajorant:
         assert env == pytest.approx([0.0, 0.45, 0.9, 1.0])
         assert np.all(np.diff(np.diff(env)) <= 1e-12)
 
+    @pytest.mark.parametrize("values", [[0.7], [0.2, 0.9], [0.9, 0.2], []])
+    def test_two_or_fewer_values_are_their_own_envelope(self, values):
+        env = least_concave_majorant(values)
+        assert env.dtype == np.float64 and env.tolist() == values
+
     @pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, -np.inf],
                                         [[0.0, 0.5], [0.5, 1.0]], 0.5, {}, [0, 10**400, 1]])
     def test_rejects_values_it_cannot_honour(self, values):
@@ -279,7 +285,8 @@ def test_meet_is_greater_than_common_lower_bounds(pair, rng):
     p, q = pair
     m = meet(p, q)
     assert compare(m, p) in BOUNDED and compare(m, q) in BOUNDED
-    witness = robin_hood_transfer(m, rng, steps=3)
+    index, uniforms = transfer_draws(m.dim, rng, 3)
+    witness = ProbVec(robin_hood_rows(m.as_array()[None], index[None], uniforms[None])[0])
     assert compare(witness, p) in BOUNDED and compare(witness, q) in BOUNDED
     assert compare(witness, m) in BOUNDED
     probe = random_prob_vecs(p.dim, 1, rng)[0]
@@ -292,7 +299,8 @@ def test_join_is_less_than_common_upper_bounds(pair, rng):
     p, q = pair
     j = join(p, q)
     assert compare(p, j) in BOUNDED and compare(q, j) in BOUNDED
-    witness = sharpening_transfer(j, rng, steps=3)
+    index, uniforms = transfer_draws(j.dim, rng, 3)
+    witness = ProbVec(sharpening_rows(j.as_array()[None], index[None], uniforms[None])[0])
     assert compare(p, witness) in BOUNDED and compare(q, witness) in BOUNDED
     assert compare(j, witness) in BOUNDED
     probe = random_prob_vecs(p.dim, 1, rng)[0]

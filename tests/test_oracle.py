@@ -165,6 +165,12 @@ class TestBranchProbabilities:
         kraus = kraus_diagonals(ratio_ladder(p, p))
         assert branch_probabilities(embed(p), kraus)[0] == pytest.approx(1.0, abs=1e-15)
 
+    def test_rejects_kraus_diagonals_of_another_dimension(self, worked_pair):
+        p, q = worked_pair
+        kraus = kraus_diagonals(ratio_ladder(p, q))
+        with pytest.raises(ValueError, match="state dimension 4 != Kraus dimension 3"):
+            branch_probabilities(embed(p.padded(4)), kraus)
+
     @pytest.mark.parametrize("scale", [2.0, 0.5, 1e-200, 1e160])
     def test_rejects_a_state_that_is_not_normalized(self, worked_pair, scale):
         p, q = worked_pair

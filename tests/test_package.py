@@ -33,9 +33,6 @@ KEEP = {
     "majorizes_margin",
     "monotones",
     "partial_sum_margins",
-    "random_tied_majorization",
-    "robin_hood_transfer",
-    "sharpening_transfer",
     "uniform",
 }
 README = PACKAGE.parent.parent / "README.md"

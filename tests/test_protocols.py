@@ -236,6 +236,10 @@ class TestMultiTarget:
                 MajOrder.EQUIVALENT,
             )
 
+    def test_needs_a_target(self, worked_pair):
+        with pytest.raises(ValueError, match="at least one target"):
+            plan_multi_target(worked_pair[0], [])
+
     def test_rank_deficit_names_target(self):
         source = canonicalize([0.6, 0.4, 0.0])
         bad = canonicalize([0.5, 0.3, 0.2])
@@ -269,6 +273,10 @@ class TestMultiSource:
         assert plan.heads[0].to_state.entries == pytest.approx(
             join(p, q).entries, **APPROX
         )
+
+    def test_needs_a_source(self, worked_pair):
+        with pytest.raises(ValueError, match="at least one source"):
+            plan_multi_source([], worked_pair[1])
 
     def test_rank_deficit_names_source(self):
         target = canonicalize([0.5, 0.3, 0.2])
@@ -490,6 +498,25 @@ def test_validate_plan_rejects_a_failure_state_of_a_branch_that_never_happens(wo
     validate_plan(dataclasses.replace(plan, steps=(dataclasses.replace(step, failure_state=None),)))
     with pytest.raises(ValueError, match="probability ~0"):
         validate_plan(plan)
+
+
+@pytest.mark.parametrize("change", [dict(kraus=None), dict(success_prob=None)])
+def test_validate_plan_rejects_a_probabilistic_step_without_kraus_data_or_probability(
+        worked_pair, change):
+    plan = plan_thrifty(*worked_pair)
+    first, step, last = plan.steps
+    broken = dataclasses.replace(plan, steps=(first, dataclasses.replace(step, **change), last))
+    with pytest.raises(ValueError, match="lacks Kraus data or probability"):
+        validate_plan(broken)
+
+
+@pytest.mark.parametrize("claimed", [0.0, -0.5, 1.0 + get_epsilon() / 2, math.nan])
+def test_validate_plan_rejects_a_success_probability_outside_the_unit_interval(worked_pair, claimed):
+    _, q = worked_pair  # an identity measurement: the Kraus operators give 1
+    step = PlanStep(StepKind.PROBABILISTIC, "q", q, "q", q,
+                    kraus=KrausDiagonals((1.0,) * 3, (0.0,) * 3), success_prob=claimed)
+    with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+        validate_plan(ConversionPlan("vidal", (step,)))
 
 
 @pytest.mark.parametrize("doc", [[1, 2], "plan", 3, None])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from majlat import config
+from majlat import config, sampling
 from majlat.errors import NegativeEntry, NotNormalized
 from majlat.ladder import intermediate_state, ratio_ladder
 from majlat.lattice import join, join_many, meet, meet_many
@@ -16,9 +16,9 @@ from majlat.protocols import apply_two_outcome, kraus_diagonals
 from majlat.sampling import (
     random_incomparable_pairs,
     random_prob_vecs,
-    random_tied_majorization,
-    robin_hood_transfer,
-    sharpening_transfer,
+    random_tied_rows,
+    robin_hood_rows,
+    transfer_draws,
 )
 from majlat.schmidt import (
     MajOrder,
@@ -114,8 +114,10 @@ def test_padding_neutrality(pair, extra):
 
 @given(prob_vecs(min_dim=2), rngs())
 def test_transitivity_along_disorder_chain(p, rng):
-    mid = robin_hood_transfer(p, rng, steps=2)
-    low = robin_hood_transfer(mid, rng, steps=2)
+    index, uniforms = transfer_draws(p.dim, rng, 4)  # two steps to mid, two more to low
+    mid = robin_hood_rows(p.as_array()[None], index[None, :2], uniforms[None, :2])
+    low = robin_hood_rows(mid, index[None, 2:], uniforms[None, 2:])
+    mid, low = ProbVec(mid[0]), ProbVec(low[0])
     assert compare(mid, p) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
     assert compare(low, mid) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
     assert compare(low, p) in (MajOrder.PRECEDES, MajOrder.EQUIVALENT)
@@ -207,7 +209,7 @@ def _producers():
     p, q = canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2])
     ladder = ratio_ladder(p, q)
     outcome = apply_two_outcome(p, kraus_diagonals(ladder))
-    x, y, _ = random_tied_majorization(5, 3)
+    x, y, _ = random_tied_rows(5, 3)
     return {
         "canonicalize": canonicalize([0.2, 0.8]),
         "uniform": uniform(4),
@@ -223,10 +225,8 @@ def _producers():
         "failure_branch": outcome.failure_state,
         "random_prob_vecs": random_prob_vecs(4, 1, 0)[0],
         "random_incomparable_pairs": random_incomparable_pairs(4, 1, 0)[0][1],
-        "robin_hood_transfer": robin_hood_transfer(p, 0),
-        "sharpening_transfer": sharpening_transfer(p, 0),
-        "random_tied_majorization_x": x,
-        "random_tied_majorization_y": y,
+        "random_tied_majorization_x": ProbVec(x),  # y is a reversed view; ProbVec copies it
+        "random_tied_majorization_y": ProbVec(y),
         "schmidt_spectrum": schmidt_spectrum(embed(q)),
     }
 
@@ -273,3 +273,33 @@ def test_random_incomparable_pairs_keep_their_bits_and_their_draws(dim):
         digest.update(p.as_array().tobytes())
         digest.update(q.as_array().tobytes())
     assert (digest.hexdigest(), rng.random()) == INCOMPARABLE_PAIRS_PINNED[dim]
+
+
+def test_random_incomparable_pairs_skip_a_pair_that_compare_orders(monkeypatch):
+    # margins -1e-12 and 0.1: one of each sign, yet p precedes q within epsilon
+    p, q = np.array([0.5, 0.3, 0.2]), np.array([0.5 - 1e-12, 0.4, 0.1 + 1e-12])
+    assert compare(ProbVec(p), ProbVec(q)) is MajOrder.PRECEDES
+    draw, crafted = sampling.random_prob_rows, iter([p, q])
+
+    def first_rows_crafted(dim, count, rng):
+        rows = draw(dim, count, rng)
+        rows[0] = next(crafted, rows[0])
+        return rows
+
+    monkeypatch.setattr(sampling, "random_prob_rows", first_rows_crafted)
+    (pair,) = sampling.random_incomparable_pairs(3, 1, 0)
+    assert compare(*pair) is MajOrder.INCOMPARABLE
+
+
+@given(st.integers(3, 12), st.sampled_from([1e-9, 1e-3, 0.05]), rngs())
+def test_random_incomparable_pairs_are_incomparable_by_compare(dim, eps, rng):
+    config.set_epsilon(eps)
+    for p, q in random_incomparable_pairs(dim, 20, rng):
+        assert compare(p, q) is MajOrder.INCOMPARABLE
+
+
+@pytest.mark.parametrize("dim, eps", [(1, 1e-9), (2, 1e-9), (3, 0.5), (64, 0.2)])
+def test_random_incomparable_pairs_give_up_where_epsilon_leaves_none(dim, eps):
+    config.set_epsilon(eps)  # every sorted pair of dimension <= 2 is comparable at any epsilon
+    with pytest.raises(ValueError, match=f"no incomparable pair of dimension {dim} within"):
+        random_incomparable_pairs(dim, 1, 0)

@@ -151,7 +151,7 @@ def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch
     for attr, broken in TAMPERED[name].items():
         monkeypatch.setattr(sweep, attr, broken)
     outcome = sweep.run_sweep(dim, 100, seed=5, properties=[name]).properties[0]
-    assert outcome.failed >= 1, outcome.to_dict()
+    assert outcome.failed >= 1, dataclasses.asdict(outcome)
 
 
 def _raising(kernel, label: str, threshold: float):
@@ -235,6 +235,14 @@ def test_a_sweep_of_hadamard_order_builds_no_analysis(monkeypatch):
     calls = _count_calls(monkeypatch)
     assert sweep.run_sweep(5, 40, seed=8, properties=["hadamard-order"]).total_failures == 0
     assert {name: sum(c.values()) for name, c in calls.items()} == dict.fromkeys(ANALYSIS, 0)
+
+
+@pytest.mark.parametrize("dim, count, message", [(1, 10, "dimension must be at least 2"),
+                                                  (0, 10, "dimension must be at least 2"),
+                                                  (3, 0, "count must be at least 1")])
+def test_run_sweep_rejects_a_dimension_below_2_and_an_empty_count(dim, count, message):
+    with pytest.raises(ValueError, match=message):
+        sweep.run_sweep(dim, count, seed=1)
 
 
 def _outputs_by_key(doc: dict) -> dict:
