@@ -2,9 +2,11 @@
 
 Subcommands: compare, meet, join, pmax, ladder, plan, sweep, simulate,
 random.  Vectors are inline JSON arrays, or names resolved against an
-instance file (``--file``).  Output is JSON by default; ``--format csv``
-gives flat rows and ``--format dot`` (or ``plan --dot``) a digraph with
-bold deterministic and dashed probabilistic edges.
+instance file (``--file``).  Output is JSON by default: the bytes of
+``json.dumps(payload, indent=2)``, written by ``_json_text``, which leaves
+the number arrays to the C encoder.  ``--format csv`` gives flat rows and
+``--format dot`` (or ``plan --dot``) a digraph with bold deterministic and
+dashed probabilistic edges.
 
 Exit codes: 0 success, 1 domain error (not normalized, rank deficit, sweep
 failures), 2 malformed input or bad usage.
@@ -30,7 +32,7 @@ from .oracle import run_plan
 from .protocols import (
     ConversionPlan,
     MultiStatePlan,
-    _numbers,
+    json_numbers,
     multi_plan_to_dict,
     plan_from_dict,
     plan_greedy,
@@ -161,14 +163,14 @@ def _load_instance_file(path: str) -> dict:
 def _resolve_vector(token: str, instances: dict | None) -> ProbVec:
     token = token.strip()
     if token.startswith("["):
-        return canonicalize(_numbers(json.loads(token), f"vector {token}"))
+        return canonicalize(json_numbers(json.loads(token), f"vector {token}"))
     if instances is None:
         raise ValueError(f"vector name {token!r} given but no --file to resolve it")
     try:
         raw = instances["vectors"][token]
     except KeyError:
         raise ValueError(f"unknown vector name {token!r} in instance file") from None
-    return canonicalize(_numbers(raw, f"vector {token!r}"))
+    return canonicalize(json_numbers(raw, f"vector {token!r}"))
 
 
 def _listed_names(instances: dict | None, option: str, name: str) -> list[str]:
@@ -326,6 +328,64 @@ def _cmd_random(args):
 
 
 # ---------------------------------------------------------------------------
+# JSON output
+
+_encode_line = json.JSONEncoder(check_circular=False).encode  # the C encoder, on one line
+_encode_str = json.encoder.encode_basestring_ascii
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a tree of dicts with str
+    keys, lists, tuples and JSON scalars.
+
+    With ``indent`` set, ``json.dumps`` formats every number in Python.  Here
+    each array of plain ints and floats is written by the C encoder on one
+    line and split at its ``", "`` separators, which no number's text holds
+    (a string's may, so arrays holding anything else are walked entry by
+    entry).
+    """
+    chunks: list[str] = []
+    write = chunks.append
+
+    def walk(value, pad: str) -> None:  # pad: a newline and the indent of value's line
+        if isinstance(value, str):
+            write(_encode_str(value))
+            return
+        if not isinstance(value, (list, tuple, dict)):
+            # the C encoder writes ints and finite floats as their repr; it spells NaN
+            # and the infinities itself, and raises TypeError on what JSON cannot hold
+            plain = type(value) is int or type(value) is float and math.isfinite(value)
+            write(repr(value) if plain else _encode_line(value))
+            return
+        if not value:
+            write("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = pad + "  "
+        if isinstance(value, dict):
+            separator = "{" + inner
+            for key, item in value.items():  # a key that is not a str raises TypeError
+                write(separator + _encode_str(key) + ": ")
+                walk(item, inner)
+                separator = "," + inner
+            write(pad + "}")
+            return
+        if set(map(type, value)) <= _NUMBER_TYPES:
+            line = _encode_line(value)
+            write("[" + inner + line[1:-1].replace(", ", "," + inner) + pad + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            walk(item, inner)
+            separator = "," + inner
+        write(pad + "]")
+
+    walk(doc, "\n")
+    return "".join(chunks)
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 _PARSER = build_parser()  # once per process: building it costs more than most requests
@@ -361,7 +421,7 @@ def _run(args) -> int:
         return 2
 
     if out_format == "json":
-        text = json.dumps(result.payload, indent=2) + "\n"
+        text = _json_text(result.payload) + "\n"
     elif out_format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(result.rows)

@@ -469,8 +469,11 @@ def step_to_dict(step: PlanStep) -> dict:
     return doc
 
 
-def _numbers(raw, what: str) -> list:
-    """``raw`` if it is a JSON array of numbers; booleans and numeric strings are not numbers."""
+def json_numbers(raw, what: str) -> list:
+    """``raw`` if it is a JSON array of numbers; booleans and numeric strings are not numbers.
+
+    The package's one rule for the number arrays of plan documents and CLI vectors.
+    """
     # one check per distinct entry type, not per entry
     if isinstance(raw, list) and all(issubclass(t, (int, float)) and t is not bool
                                      for t in set(map(type, raw))):
@@ -479,11 +482,11 @@ def _numbers(raw, what: str) -> list:
 
 
 def _number(raw, what: str) -> float:
-    return float(_numbers([raw], what)[0])
+    return float(json_numbers([raw], what)[0])
 
 
 def _state(raw, what: str) -> ProbVec:
-    return ProbVec(_numbers(raw, what))
+    return ProbVec(json_numbers(raw, what))
 
 
 def _name(raw, what: str) -> str:
@@ -510,8 +513,8 @@ def step_from_dict(doc: dict, where: str) -> PlanStep:
     if kind is StepKind.PROBABILISTIC:
         kraus = _field(doc, "kraus", where)
         kwargs["kraus"] = KrausDiagonals(
-            m_diag=_numbers(_field(kraus, "m_diag", f"{where}.kraus"), "Kraus m_diag"),
-            n_diag=_numbers(_field(kraus, "n_diag", f"{where}.kraus"), "Kraus n_diag"),
+            m_diag=json_numbers(_field(kraus, "m_diag", f"{where}.kraus"), "Kraus m_diag"),
+            n_diag=json_numbers(_field(kraus, "n_diag", f"{where}.kraus"), "Kraus n_diag"),
         )
         kwargs["success_prob"] = _number(_field(doc, "success_prob", where), "step success_prob")
         if "failure" in doc:
@@ -552,7 +555,8 @@ def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
     ladder = RatioLadder(
         source=_state(_field(doc, "source", "the ladder"), "ladder source"),
         target=_state(_field(doc, "target", "the ladder"), "ladder target"),
-        ratios=tuple(map(float, _numbers(_field(doc, "ratios", "the ladder"), "ladder ratios"))),
+        ratios=tuple(map(float, json_numbers(_field(doc, "ratios", "the ladder"),
+                                             "ladder ratios"))),
         indices=tuple(indices),
     )
     eps = get_epsilon()

@@ -8,7 +8,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given
 
 from majlat import (
     canonicalize,
@@ -19,7 +22,9 @@ from majlat import (
     plan_to_dict,
     plan_vidal,
 )
-from majlat.cli import main
+from majlat import cli
+from majlat.cli import _json_text, main
+from majlat.sampling import random_incomparable_pairs
 from majlat.schmidt import MajOrder
 
 PSI = "[0.5,0.4,0.1]"
@@ -701,3 +706,100 @@ def test_simulate_names_a_multi_plan_it_cannot_run(tmp_path, protocol):
     assert out == ""
     assert protocol in err
     assert "single conversion plans" in err
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer gives the bytes of json.dumps(..., indent=2)
+
+_ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1.0, 0.1]
+_NUMBERS = st.one_of(
+    st.floats(), st.sampled_from(_ODD_FLOATS),
+    st.integers(), st.integers(min_value=2**64, max_value=10**80),
+)
+_SCALARS = st.one_of(
+    _NUMBERS, st.booleans(), st.none(), st.text(),
+    st.sampled_from(['", "', '[1, 2]', 'é∞\u2028', '"quoted"', "back\\slash"]),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(_SCALARS, st.lists(_NUMBERS, max_size=6), st.lists(st.floats(), max_size=6)),
+    _containers, max_leaves=30,
+)
+
+
+@given(_TREES)
+def test_json_text_is_json_dumps_with_indent_two(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+_VECTOR = [0.5, 0.25, 0.125, 0.125]
+
+
+@pytest.mark.parametrize("doc", [
+    {"ratios": [1.0], "indices": [1]},
+    {"indices": [1], "ratios": [1.0]},
+    [[0.0], [-0.0], [0.0]],
+    [[-0.0], [0.0]],
+    [[1.0, 2.0], (1.0, 2.0), [1, 2], [True, 2.0]],
+    {"v": _VECTOR, "deeper": {"v": list(_VECTOR), "deepest": [{"v": _VECTOR}]}},
+    [[math.nan], [-math.nan], [math.inf, -math.inf], [1.0]],
+], ids=["ratio-then-index", "index-then-ratio", "zeros", "negative-zero-first",
+        "ints-floats-bools", "one-vector-at-three-depths", "non-finite"])
+def test_json_text_keeps_arrays_that_compare_equal_apart(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_text_raises_type_error_on_what_it_cannot_write():
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _json_text({"a": [0.5, {1, 2}]})
+    with pytest.raises(TypeError):  # payload keys are str
+        _json_text({1: 0.5})
+
+
+def _wide_pair_argv():
+    p, q = random_incomparable_pairs(512, 1, np.random.default_rng(512))[0]
+    return [json.dumps(p.as_array().tolist()), json.dumps(q.as_array().tolist())]
+
+
+_PAYLOAD_REQUESTS = {
+    "compare": ["compare", PSI, PHI],
+    "meet": ["meet", PSI, PHI],
+    "join": ["join", PSI, PHI],
+    "pmax": ["pmax", PSI, PHI],
+    "ladder": ["ladder", PSI, PHI],
+    "ladder-comparable": ["ladder", PSI, "[0.7,0.2,0.1]"],
+    "plan-vidal": ["plan", "vidal", PSI, PHI],
+    "plan-greedy": ["plan", "greedy", PSI, PHI],
+    "plan-thrifty": ["plan", "thrifty", PSI, PHI],
+    "plan-comparable": ["plan", "thrifty", PSI, "[0.7,0.2,0.1]"],
+    "plan-thrifty-512": ["plan", "thrifty", *_wide_pair_argv()],
+    "plan-multi-target": ["plan", "multi-target", PSI, PHI, "[0.7,0.2,0.1]"],
+    "plan-multi-source": ["plan", "multi-source", PSI, PHI, "[0.7,0.2,0.1]"],
+    "sweep": ["sweep", "--dim", "5", "--count", "12", "--seed", "3"],
+    "simulate": ["simulate", "greedy", PSI, PHI, "--shots", "500", "--seed", "8"],
+    "random": ["random", "--dim", "4", "--count", "3", "--pairs", "2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAYLOAD_REQUESTS))
+def test_every_subcommand_writes_the_bytes_of_json_dumps(monkeypatch, tmp_path, name):
+    payloads = []
+    writer = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda doc: payloads.append(doc) or writer(doc))
+    argv = _PAYLOAD_REQUESTS[name]
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
+    target = tmp_path / "out.json"
+    assert run_cli(*argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out

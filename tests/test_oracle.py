@@ -340,6 +340,17 @@ def test_run_plan_matches_the_reference_on_hand_built_plans(worked_pair):
             _assert_same_as_reference(_chain(plan_vidal(p, q), plan_vidal(q, p)), shots, shots)
 
 
+@pytest.mark.parametrize("links", [2, 3])
+@pytest.mark.parametrize("shots", [2, BLOCK // 2, BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK,
+                                   2 * BLOCK + 1, 3 * BLOCK])
+def test_run_plan_matches_the_reference_on_chains_of_measurements(worked_pair, links, shots):
+    """Two or three measurements in a row: a block of draws ends inside a shot."""
+    p, q = worked_pair
+    there, back = plan_vidal(p, q), plan_vidal(q, p)
+    plan = _chain(*[(there, back)[i % 2] for i in range(links)])
+    _assert_same_as_reference(plan, shots, 1000 * links + shots)
+
+
 def test_run_plan_counts_a_failure_of_probability_below_epsilon_as_success(worked_pair):
     p, q = worked_pair
     vidal = plan_vidal(p, q)

@@ -19,6 +19,7 @@ from majlat.protocols import (
     PlanStep,
     StepKind,
     apply_two_outcome,
+    json_numbers,
     kraus_diagonals,
     multi_plan_to_dict,
     plan_from_dict,
@@ -32,7 +33,6 @@ from majlat.protocols import (
     step_monotone_slacks,
     step_outcomes,
     validate_plan,
-    _numbers,
 )
 from majlat.sampling import random_incomparable_pairs, random_prob_vecs
 from majlat.schmidt import (
@@ -930,7 +930,7 @@ def test_a_number_array_is_checked_as_by_each_entry(raw):
     by_entry = isinstance(raw, list) and all(
         isinstance(x, (int, float)) and type(x) is not bool for x in raw)
     if by_entry:
-        assert _numbers(raw, "v") is raw
+        assert json_numbers(raw, "v") is raw
     else:
         with pytest.raises(ValueError, match="^v must be finite JSON numbers$"):
-            _numbers(raw, "v")
+            json_numbers(raw, "v")
