@@ -21,7 +21,7 @@ import numpy as np
 from .config import get_epsilon
 from .errors import NotNormalized
 from .protocols import ConversionPlan, KrausDiagonals, StepKind, validate_plan
-from .schmidt import ProbVec
+from .schmidt import ProbVec, _ArrayValue
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 _BLOCK = 8192  # uniforms per draw and floats per summed chunk
@@ -29,20 +29,22 @@ _UNIT_BITS = 64  # amplitude peaks within 2**-64 .. 2**64 are squared as they ar
 _MANTISSA = np.int64((1 << 52) - 1)  # mantissa bits of a float64
 
 
-@dataclass(frozen=True)
-class BipartiteState:
+@dataclass(frozen=True, eq=False)
+class BipartiteState(_ArrayValue):
     """Pure bipartite state as the matrix of amplitudes on |i>|j>.
 
     The amplitudes are real or complex numbers, all finite and not all zero;
-    anything else raises ``ValueError``.  The matrix is copied and read-only.
-    Any scale is accepted: where the largest real or imaginary part is far
-    from 1, ``exponent`` records its power of two, and the spectrum is taken
-    from the matrix scaled by 2**-exponent, so that its squares neither
-    underflow nor overflow.
+    anything else raises ``ValueError``.  The matrix is copied and read-only,
+    and equality, hashing and pickling go by its entries.  Any scale is
+    accepted: where the largest real or imaginary part is far from 1,
+    ``exponent`` records its power of two, and the spectrum is taken from the
+    matrix scaled by 2**-exponent, so that its squares neither underflow nor
+    overflow.
     """
 
     amplitudes: np.ndarray
-    exponent: int = field(init=False, default=0, repr=False, compare=False)
+    exponent: int = field(init=False, default=0, repr=False)
+    _arrays = ("amplitudes",)
 
     def __post_init__(self):
         arr = np.asarray(self.amplitudes)

@@ -29,12 +29,12 @@ from .errors import DegenerateBranch, MajlatError, RankDeficit
 from .lattice import join, join_many, meet, meet_many
 from .ladder import (RatioLadder, _check_ranks, _intermediate, monotone_rows, r_vector,
                      ratio_ladder)
-from .schmidt import (MajOrder, ProbVec, compare, effective_rank, margin_rows, max_deviation,
-                      stack_rows)
+from .schmidt import (MajOrder, ProbVec, _ArrayValue, compare, effective_rank, margin_rows,
+                      max_deviation, stack_rows)
 
 
 @dataclass(frozen=True, eq=False)
-class KrausDiagonals:
+class KrausDiagonals(_ArrayValue):
     """Diagonals of the two measurement operators; m^2 + n^2 = 1 entrywise.
 
     Like a ``ProbVec``, each diagonal is stored once as a read-only float64
@@ -44,24 +44,13 @@ class KrausDiagonals:
 
     m_diag: np.ndarray
     n_diag: np.ndarray
+    _arrays = ("m_diag", "n_diag")
 
     def __post_init__(self):
-        for name in ("m_diag", "n_diag"):
+        for name in self._arrays:
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def __reduce__(self):
-        return KrausDiagonals, (self.m_diag, self.n_diag)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (np.array_equal(self.m_diag, other.m_diag)
-                and np.array_equal(self.n_diag, other.n_diag))
-
-    def __hash__(self) -> int:
-        return hash((tuple(self.m_diag.tolist()), tuple(self.n_diag.tolist())))
 
     @property
     def dim(self) -> int:
@@ -236,11 +225,10 @@ def _vidal(source: ProbVec, target: ProbVec, order: MajOrder,
     return ConversionPlan("vidal", steps, ladder)
 
 
-def plan_vidal(source: ProbVec, target: ProbVec, *,
-               source_name: str = "source", target_name: str = "target") -> ConversionPlan:
+def plan_vidal(source: ProbVec, target: ProbVec) -> ConversionPlan:
     """Optimal two-step plan: deterministic move to the intermediate state,
     then a two-outcome measurement that yields the target on success."""
-    return _vidal(source, target, compare(source, target), source_name, target_name)
+    return _vidal(source, target, compare(source, target))
 
 
 def plan_greedy(source: ProbVec, target: ProbVec) -> ConversionPlan:
@@ -271,8 +259,8 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
     order = compare(source, target)
     if order is not MajOrder.INCOMPARABLE:
         return _vidal(source, target, order)
-    core = plan_vidal(source, meet(source, target), target_name="common_resource")
-    ocr = core.steps[-1].to_state
+    ocr = meet(source, target)  # zero-padded to the larger dimension, as the ladder pads
+    core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
     steps = core.steps + (
         PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr,
                  "target", target.padded(ocr.dim)),
@@ -295,7 +283,7 @@ def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
         if effective_rank(t) > effective_rank(source):
             raise RankDeficit(f"target #{i} needs more non-zero coefficients than the source")
     ocr = meet_many([source, *targets])
-    core = plan_vidal(source, ocr, target_name="common_resource")
+    core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
     d = core.steps[-1].to_state.dim
     tails = tuple(
         PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr.padded(d),
@@ -319,7 +307,7 @@ def plan_multi_source(sources, target: ProbVec) -> MultiStatePlan:
         if effective_rank(target) > effective_rank(s):
             raise RankDeficit(f"source #{i} has fewer non-zero coefficients than the target needs")
     ocp = join_many([*sources, target])
-    core = plan_vidal(ocp, target, source_name="common_product")
+    core = _vidal(ocp, target, compare(ocp, target), source_name="common_product")
     d = core.steps[0].from_state.dim
     heads = tuple(
         PlanStep(StepKind.DETERMINISTIC, f"source_{i}", s.padded(d),
@@ -542,8 +530,9 @@ def _ladder_to_dict(ladder: RatioLadder) -> dict:
 
 
 def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
-    """The ladder a plan document gives, once it is checked to be the ratio ladder
-    from the plan's first state to the to-state of one of its steps.
+    """The ratio ladder from a plan document's ladder source to its target, once
+    the document's ladder is checked to be that ladder, starting at the plan's
+    first state and ending at the to-state of one of its steps.
 
     One of its steps, not its last measurement's: a thrifty plan whose core is
     deterministic has its ladder's target at step 0.
@@ -552,27 +541,21 @@ def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
     if not (isinstance(indices, list) and all(type(i) is int for i in indices)
             and type(l0) is int):
         raise ValueError("ladder indices and l0 must be JSON integers")
-    ladder = RatioLadder(
-        source=_state(_field(doc, "source", "the ladder"), "ladder source"),
-        target=_state(_field(doc, "target", "the ladder"), "ladder target"),
-        ratios=tuple(map(float, json_numbers(_field(doc, "ratios", "the ladder"),
-                                             "ladder ratios"))),
-        indices=tuple(indices),
-    )
+    source = _state(_field(doc, "source", "the ladder"), "ladder source")
+    target = _state(_field(doc, "target", "the ladder"), "ladder target")
+    ratios = [*map(float, json_numbers(_field(doc, "ratios", "the ladder"), "ladder ratios"))]
     eps = get_epsilon()
-    source = ladder.source.as_array()
-    if not (steps and max_deviation(source, steps[0].from_state.as_array()) <= eps):
+    if not (steps and max_deviation(source.as_array(), steps[0].from_state.as_array()) <= eps):
         raise ValueError("the ladder's source is not the plan's first state")
-    target = ladder.target.as_array()
-    if not any(max_deviation(target, s.to_state.as_array()) <= eps for s in steps):
+    if not any(max_deviation(target.as_array(), s.to_state.as_array()) <= eps for s in steps):
         raise ValueError("the ladder's target is not the to-state of any step")
     try:
         with np.errstate(all="ignore"):  # a ladder of non-finite ratios fails the check below
-            derived = ratio_ladder(ladder.source, ladder.target)
+            ladder = ratio_ladder(source, target)
     except (MajlatError, ZeroDivisionError) as exc:  # the states need not be canonical here
         raise ValueError(f"the ladder's source and target have no ratio ladder: {exc}") from None
-    if not (ladder.indices == derived.indices and l0 == derived.l0 and ladder.k == derived.k
-            and max_deviation(np.array(ladder.ratios), np.array(derived.ratios)) <= eps):
+    if not (tuple(indices) == ladder.indices and l0 == ladder.l0 and len(ratios) == ladder.k
+            and max_deviation(np.array(ratios), np.array(ladder.ratios)) <= eps):
         raise ValueError("the ladder is not the ratio ladder of its source and target")
     return ladder
 

@@ -23,7 +23,30 @@ from .config import get_epsilon
 from .errors import NegativeEntry, NotNormalized
 
 
-class ProbVec:
+class _ArrayValue:
+    """Equality, hashing and pickling by the entries of the read-only arrays that a
+    subclass names in ``_arrays``; a copy is rebuilt through the constructor, so its
+    arrays are read-only too."""
+
+    __slots__ = ()
+    _arrays: tuple[str, ...] = ()
+
+    def _values(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self._arrays)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(map(np.array_equal, self._values(), other._values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(a.ravel().tolist()) for a in self._values()))
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ProbVec(_ArrayValue):
     """Canonical (sorted, normalized) probability vector.
 
     Built from any 1-d sequence or array, which is copied; immutable, with
@@ -31,6 +54,7 @@ class ProbVec:
     """
 
     __slots__ = ("_array",)
+    _arrays = ("_array",)
 
     def __init__(self, entries):
         arr = np.array(entries, dtype=np.float64)
@@ -44,9 +68,6 @@ class ProbVec:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return ProbVec, (self._array,)
 
     @property
     def entries(self) -> tuple[float, ...]:
@@ -67,14 +88,6 @@ class ProbVec:
         if dim == self.dim:
             return self
         return ProbVec(np.concatenate((self._array, np.zeros(dim - self.dim))))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or np.array_equal(self._array, other._array)
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     def __repr__(self) -> str:
         return f"ProbVec(entries={self.entries!r})"

@@ -10,7 +10,9 @@ failure record.  The acceptance suite runs the same checkers.
 
 ``run_sweep`` draws every instance from one random pair; properties needing
 incomparable pairs skip comparable draws, so at dimension 2 they report zero
-applicable instances.  It works through the instances in chunks of at most
+applicable instances, and properties that build conversions skip the draws
+where one is impossible (a target with more entries above epsilon than its
+source).  It works through the instances in chunks of at most
 ``_CHUNK``, so its memory does not grow with the count:
 
 1. It takes all of a chunk's draws from the generator, instance after
@@ -54,7 +56,7 @@ from .sampling import (
     sharpening_rows,
     transfer_draws,
 )
-from .schmidt import ProbVec, below_rows, max_deviation, min_margin_rows, stack_rows
+from .schmidt import ProbVec, below_rows, max_deviation, min_margin_rows, rank_rows, stack_rows
 
 EQUALITY_TOL = 1e-12
 MARGIN_FLOOR = -1e-9
@@ -328,6 +330,18 @@ class _Pairs:
         return ~(p_below_q | q_below_p)
 
     @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Entries above epsilon of each pair's source and of its target."""
+        return np.array(rank_rows(self.P)), np.array(rank_rows(self.Q))
+
+    @cached_property
+    def convertible(self) -> np.ndarray:
+        """Whether each pair's source can be converted into its target at all: the
+        target has no more entries above epsilon, the rule ``_check_ranks`` raises on."""
+        rank_p, rank_q = self.ranks
+        return rank_q <= rank_p
+
+    @cached_property
     def meet(self) -> np.ndarray:
         return meet_rows(self.rows)
 
@@ -358,29 +372,46 @@ def _monotone_soundness(a: _Pairs, rows, _):
     return _check_monotone_soundness(groups)
 
 
+def _fans_convertible(a: _Pairs, draws) -> np.ndarray:
+    """Convertible pairs whose further targets each fit the source's rank and whose
+    further sources each hold the target's, so that every conversion of the
+    ``multi-state`` check is possible."""
+    rank_p, rank_q = a.ranks
+    fans = [_members([draw[k] for draw in draws]) for k in (0, 1)]  # targets, sources
+    fan_out, fan_in = (np.array(rank_rows(f)).reshape(f.shape[:2]) for f in fans)
+    return a.convertible & (fan_out.max(axis=1) <= rank_p) & (fan_in.min(axis=1) >= rank_q)
+
+
 def _tied_rows(draws):
     """``(N, d)`` rows of x, y and the weights of N ``random_tied_rows`` draws."""
     return tuple(np.array(rows) for rows in zip(*draws))
 
 
-# name -> (needs incomparable pairs, draws of one instance from (dim, rng) or None,
-#          check of the chunk's applicable rows, given their draws)
+def _conversions(a: _Pairs, _) -> np.ndarray:
+    """Incomparable pairs that can be converted: those a property about conversions
+    between incomparable states applies to."""
+    return a.incomparable & a.convertible
+
+
+# name -> (mask of the chunk's pairs the property applies to, from the pairs and every
+#          pair's draws, or None for all pairs; draws of one instance from (dim, rng)
+#          or None; check of the chunk's applicable rows, given their draws)
 CHECKERS = {
-    "axioms": (False, _draw_axioms, lambda a, rows, draws: _check_axioms(
+    "axioms": (None, _draw_axioms, lambda a, rows, draws: _check_axioms(
         a.P[rows], a.Q[rows], a.meet[rows], a.join[rows], draws)),
-    "meet-monotones": (False, None, lambda a, rows, _: _check_meet_monotones(
+    "meet-monotones": (None, None, lambda a, rows, _: _check_meet_monotones(
         a.P[rows], a.Q[rows], a.meet[rows])),
-    "hadamard-order": (False, lambda dim, rng: random_tied_rows(dim, rng),
+    "hadamard-order": (None, lambda dim, rng: random_tied_rows(dim, rng),
                        lambda a, rows, draws: _check_hadamard(*_tied_rows(draws))),
-    "equal-optimal-prob": (True, None, lambda a, rows, _: _check_equal_optimal_prob(
+    "equal-optimal-prob": (_conversions, None, lambda a, rows, _: _check_equal_optimal_prob(
         a.P[rows], a.Q[rows], a.meet[rows])),
-    "residual-order": (True, None, lambda a, rows, _: _check_residual_order(
+    "residual-order": (_conversions, None, lambda a, rows, _: _check_residual_order(
         [a.plan(plan_vidal, i) for i in rows], [a.plan(plan_thrifty, i) for i in rows])),
-    "multi-state": (False, _draw_multi_state, lambda a, rows, draws: _check_multi_state(
-        [(a.P[i], [a.Q[i], *targets], [a.P[i], *sources], a.Q[i])
-         for i, (targets, sources) in zip(rows, draws)])),
-    "monotone-soundness": (False, None, _monotone_soundness),
-    "oracle-match": (True, None, lambda a, rows, _: _check_oracle_match(
+    "multi-state": (_fans_convertible, _draw_multi_state, lambda a, rows, draws:
+                    _check_multi_state([(a.P[i], [a.Q[i], *targets], [a.P[i], *sources], a.Q[i])
+                                        for i, (targets, sources) in zip(rows, draws)])),
+    "monotone-soundness": (lambda a, _: a.convertible, None, _monotone_soundness),
+    "oracle-match": (_conversions, None, lambda a, rows, _: _check_oracle_match(
         [a.plan(plan_vidal, i) for i in rows])),
 }
 
@@ -412,8 +443,8 @@ def _check_chunk(pairs, draws: dict) -> dict:
     a = _Pairs(pairs)
     results = {}
     for name, drawn in draws.items():
-        needs_incomparable, _, check = CHECKERS[name]
-        rows = np.flatnonzero(a.incomparable) if needs_incomparable else np.arange(len(a))
+        applies, _, check = CHECKERS[name]
+        rows = np.arange(len(a)) if applies is None else np.flatnonzero(applies(a, drawn))
         drawn = [drawn[i] for i in rows] if drawn else None
         results[name] = check(a, rows, drawn) if rows.size else []
     return results

@@ -364,6 +364,36 @@ def test_run_plan_counts_a_failure_of_probability_below_epsilon_as_success(worke
         _assert_same_as_reference(_chain(ConversionPlan("h", (step,)), vidal), shots, shots)
 
 
+def test_the_walk_stops_at_a_measurement_that_succeeds_with_probability_below_epsilon(
+        worked_pair):
+    """A later measurement of a chain is never reached when an earlier one succeeds with
+    probability <= epsilon, so each shot draws one uniform.  Such a step passes
+    ``validate_plan`` only where its Born-rule probability rounds above epsilon and the
+    dense simulator's rounds to it, so epsilon is set to the dense one."""
+    p, q = worked_pair
+    lam = p.as_array()
+    for t in np.linspace(0.05, 0.3, 200):
+        m_diag = np.sqrt(t * np.array([0.5, 1.0, 1.5]))
+        kraus = KrausDiagonals(m_diag, np.sqrt(1.0 - m_diag**2))
+        p_born = float(np.square(kraus.m_diag) @ lam)
+        p_dense, _ = branch_probabilities(embed(p), kraus)
+        if p_born > p_dense:
+            break
+    else:
+        pytest.fail("no diagonal rounds the two probabilities apart")
+    outcome = apply_two_outcome(p, kraus)
+    step = PlanStep(StepKind.PROBABILISTIC, "a", p, "b", outcome.success_state, kraus, p_born,
+                    "residual", outcome.failure_state)
+    plan = _chain(ConversionPlan("h", (step,)), plan_vidal(outcome.success_state, q))
+    config.set_epsilon(p_dense)
+    validate_plan(plan)
+    for shots in SHOT_COUNTS:
+        _assert_same_as_reference(plan, shots, shots)
+        ours, draws = np.random.default_rng(shots), np.random.default_rng(shots).random(shots + 1)
+        assert run_plan(plan, shots, seed=ours).successes == np.count_nonzero(draws[:-1] < p_dense)
+        assert ours.random() == draws[-1]  # one uniform per shot
+
+
 def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):
     """A deterministic step may pad the state; the reference cannot add the
     3- and 4-entry failure spectra, run_plan reports their padded mean."""

@@ -1,8 +1,8 @@
 import copy
 import dataclasses
+import inspect
 import json
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -93,12 +93,6 @@ class TestKrausDiagonals:
         assert a != KrausDiagonals((1.0, 0.8), (0.0, 0.6))
         assert a != KrausDiagonals((1.0, 0.6, 1.0), (0.0, 0.8, 0.0))
         assert a != ((1.0, 0.6), (0.0, 0.8))
-
-    def test_pickle_round_trip(self, worked_pair):
-        kraus = kraus_diagonals(ratio_ladder(*worked_pair))
-        back = pickle.loads(pickle.dumps(kraus))
-        assert back == kraus and hash(back) == hash(kraus)
-        assert not back.m_diag.flags.writeable and not back.n_diag.flags.writeable
 
 
 class TestApplyTwoOutcome:
@@ -885,6 +879,26 @@ def test_plan_from_dict_checks_the_ladder(worked_pair, tamper):
         plan_from_dict(doc)
 
 
+def test_plan_vidal_takes_a_source_and_a_target():
+    assert list(inspect.signature(plan_vidal).parameters) == ["source", "target"]
+
+
+def test_an_overflowing_ladder_ratio_is_reported_before_the_ladder_states(worked_pair):
+    doc = plan_to_dict(plan_thrifty(*worked_pair))
+    doc["ladder"]["ratios"][0] = 10**400
+    doc["ladder"]["source"] = [0.9, 0.05, 0.05]
+    with pytest.raises(ValueError, match="^malformed plan document: int too large to convert"):
+        plan_from_dict(doc)
+
+
+def test_a_plan_read_back_carries_the_ladder_of_its_ladder_states(worked_pair):
+    """Ratios within epsilon of the ladder's are read as the ladder's own."""
+    plan = plan_thrifty(*worked_pair)
+    doc = plan_to_dict(plan)
+    doc["ladder"]["ratios"] = [r + 1e-12 for r in doc["ladder"]["ratios"]]
+    assert _ladder_bits(plan_from_dict(doc).ladder) == _ladder_bits(plan.ladder)
+
+
 def test_the_ladder_target_may_be_any_steps_to_state(worked_pair):
     """A thrifty plan whose core comes out deterministic has its ladder's target,
     the common resource, at step 0, and a deterministic step after it."""
@@ -912,6 +926,11 @@ def _emitted_plans(dim, rng):
     return plans
 
 
+def _ladder_bits(ladder):
+    return (ladder.source.as_array().tobytes(), ladder.target.as_array().tobytes(),
+            np.array(ladder.ratios).tobytes(), ladder.indices)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 64, 512])
 def test_emitted_plans_round_trip_through_the_checked_reader(dim):
     for plan in _emitted_plans(dim, np.random.default_rng(900 + dim)):
@@ -919,6 +938,7 @@ def test_emitted_plans_round_trip_through_the_checked_reader(dim):
         restored = plan_from_dict(json.loads(json.dumps(doc)))
         assert restored == plan
         assert plan_to_dict(restored) == doc
+        assert _ladder_bits(restored.ladder) == _ladder_bits(plan.ladder)
 
 
 @pytest.mark.parametrize("raw", [

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import pickle
 import tracemalloc
@@ -11,8 +13,8 @@ from majlat import config, sampling
 from majlat.errors import NegativeEntry, NotNormalized
 from majlat.ladder import intermediate_state, ratio_ladder
 from majlat.lattice import join, join_many, meet, meet_many
-from majlat.oracle import embed, schmidt_spectrum
-from majlat.protocols import apply_two_outcome, kraus_diagonals
+from majlat.oracle import BipartiteState, embed, schmidt_spectrum
+from majlat.protocols import KrausDiagonals, apply_two_outcome, kraus_diagonals
 from majlat.sampling import (
     random_incomparable_pairs,
     random_prob_vecs,
@@ -92,6 +94,11 @@ class TestCompare:
         assert compare(uniform(3), p) is MajOrder.PRECEDES
         assert compare(p, uniform(3)) is MajOrder.SUCCEEDS
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_uniform_needs_a_positive_dimension(self, dim):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            uniform(dim)
+
     def test_peaked_is_top(self, worked_pair):
         p, _ = worked_pair
         top = canonicalize([1.0, 0.0, 0.0])
@@ -162,6 +169,15 @@ class TestProbVecStorage:
             vec._array = np.array([1.0])
         assert vec.entries == (0.5, 0.5)
 
+    def test_attributes_cannot_be_deleted(self):
+        vec = ProbVec([0.5, 0.5])
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field '_array'"):
+            del vec._array
+        assert vec.entries == (0.5, 0.5)
+
+    def test_repr_shows_the_entries(self):
+        assert repr(ProbVec([0.5, 0.25, 0.25])) == "ProbVec(entries=(0.5, 0.25, 0.25))"
+
     def test_entries_is_a_tuple_of_python_floats(self):
         entries = ProbVec(np.array([0.5, 0.3, 0.2])).entries
         assert type(entries) is tuple
@@ -175,12 +191,6 @@ class TestProbVecStorage:
         assert ProbVec([0.6, 0.4]) != ProbVec([0.4, 0.6])
         assert ProbVec([1.0]) != (1.0,)
 
-    def test_pickle_round_trip(self):
-        vec = canonicalize([0.1, 0.5, 0.4])
-        back = pickle.loads(pickle.dumps(vec))
-        assert back == vec and hash(back) == hash(vec)
-        assert not back.as_array().flags.writeable
-
     @pytest.mark.parametrize("bad", [[[0.5, 0.5]], np.ones((2, 2)) / 4, 1.0])
     def test_non_1d_input_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -191,6 +201,63 @@ class TestProbVecStorage:
         assert str(vec) == "(0.5, 0.25, 0.25)"
         assert vec.padded(3) is vec
         assert vec.padded(5).entries == (0.5, 0.25, 0.25, 0.0, 0.0)
+
+
+# The types that hold read-only arrays, with equality, hashing and pickling by their
+# entries: name -> (a value, another one, the arrays a value holds, its hash key).
+VALUES = {
+    "ProbVec": (lambda: ProbVec([0.5, 0.3, 0.2]), lambda: ProbVec([0.5, 0.2, 0.3]),
+                lambda v: [v.as_array()], lambda v: (v.entries,)),
+    "KrausDiagonals": (lambda: KrausDiagonals((1.0, 0.6), (0.0, 0.8)),
+                       lambda: KrausDiagonals((1.0, 0.8), (0.0, 0.6)),
+                       lambda v: [v.m_diag, v.n_diag],
+                       lambda v: (tuple(v.m_diag.tolist()), tuple(v.n_diag.tolist()))),
+    "BipartiteState": (lambda: BipartiteState(np.array([[0.6, 0.0], [0.0, 0.8j]])),
+                       lambda: BipartiteState(np.array([[0.6, 0.0], [0.0, 0.8]])),
+                       lambda v: [v.amplitudes],
+                       lambda v: (tuple(v.amplitudes.ravel().tolist()),)),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUES))
+def test_values_are_equal_and_hash_alike_by_their_entries(kind):
+    build, build_other, _, key = VALUES[kind]
+    a, b, other = build(), build(), build_other()
+    assert a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert a in [b] and b in {a} and len({a, b, other}) == 2
+    assert hash(a) == hash(key(a))  # the hash of each array's entries, in order
+    assert a != key(a)  # a value is not equal to anything of another type
+
+
+@pytest.mark.parametrize("kind", list(VALUES))
+def test_copies_are_equal_and_read_only(kind):
+    build, _, arrays, _ = VALUES[kind]
+    value = build()
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+        for arr in arrays(back):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
+def test_bipartite_states_compare_their_amplitudes_entrywise():
+    state = BipartiteState(np.diag([0.6, 0.8j]))
+    assert state != BipartiteState(np.diag([0.6, -0.8j]))  # same Schmidt spectrum
+    assert state != BipartiteState(np.diag([0.6, 0.8j, 0.0]))
+    integers, floats = BipartiteState(np.diag([3, 4])), BipartiteState(np.diag([3.0, 4.0]))
+    assert integers == floats and hash(integers) == hash(floats)
+
+
+@pytest.mark.parametrize("power", [-600, 0, 600])
+def test_a_copied_bipartite_state_rebuilds_its_exponent(power):
+    state = BipartiteState(np.diag([0.6, 0.8j]) * 2.0**power)
+    for back in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert back == state and back.exponent == state.exponent
+        assert schmidt_spectrum(back) == schmidt_spectrum(state)
 
 
 def test_sampled_vectors_hold_one_array_each():

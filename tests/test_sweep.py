@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from majlat import protocols, sampling, sweep
+from majlat import config, protocols, sampling, sweep
 from majlat.cli import main
+from majlat.errors import RankDeficit
 
 GOLDEN = Path(__file__).with_name("sweep_golden.json")
 SWEEPS = [(d, s) for d in (2, 3, 5, 8) for s in (1, 2)]
@@ -235,6 +236,51 @@ def test_a_sweep_of_hadamard_order_builds_no_analysis(monkeypatch):
     calls = _count_calls(monkeypatch)
     assert sweep.run_sweep(5, 40, seed=8, properties=["hadamard-order"]).total_failures == 0
     assert {name: sum(c.values()) for name, c in calls.items()} == dict.fromkeys(ANALYSIS, 0)
+
+
+CONVERSIONS = ["equal-optimal-prob", "residual-order", "multi-state", "oracle-match"]
+
+
+@pytest.mark.parametrize("epsilon, dim, count, seed", [(1e-3, 8, 200, 1), (0.05, 6, 40, 3)])
+def test_a_sweep_skips_the_instances_that_no_conversion_reaches(epsilon, dim, count, seed,
+                                                                monkeypatch):
+    """At a large epsilon, flat-Dirichlet draws often have an entry at or below it.  A
+    property that builds conversions applies only where each passes the rank rule;
+    counting every pair as convertible brings back the sweep's RankDeficit."""
+    config.set_epsilon(epsilon)
+    report = sweep.run_sweep(dim, count, seed=seed, properties=CONVERSIONS)
+    assert report.total_failures == 0
+    applicable = {p.name: p.applicable for p in report.properties}
+    assert 0 < applicable["multi-state"] < count
+    assert 0 < applicable["equal-optimal-prob"] == applicable["oracle-match"]
+    rank_rows = sweep.rank_rows
+    monkeypatch.setattr(sweep, "rank_rows", lambda rows: rank_rows(np.zeros_like(rows)))
+    with pytest.raises(RankDeficit):
+        sweep.run_sweep(dim, count, seed=seed, properties=CONVERSIONS)
+
+
+def test_a_sweep_of_every_property_completes_on_rank_deficient_draws():
+    config.set_epsilon(1e-3)
+    report = sweep.run_sweep(8, 200, seed=1)
+    applicable = {p.name: p.applicable for p in report.properties}
+    assert applicable["axioms"] == 200 > applicable["monotone-soundness"] > 0
+
+
+def test_a_conversion_property_applies_only_where_each_conversion_it_builds_can_succeed():
+    full, short = [0.5, 0.3, 0.2], [0.6, 0.4, 0.0]
+    pairs = np.array([
+        [short, full],  # the target needs more non-zero entries than the source has
+        [full, short],
+        [[0.5, 0.4, 0.1], [0.6, 0.2, 0.2]],  # incomparable
+    ])
+    fans = [(np.array([full]), np.array([short]))] * 3  # a further target and source each
+    results = sweep._check_chunk(pairs, {name: fans if name == "multi-state" else []
+                                         for name in ["monotone-soundness", *CONVERSIONS]})
+    # instance 2's further source has fewer non-zero entries than its target
+    assert {name: len(r) for name, r in results.items()} == {
+        "monotone-soundness": 2, "multi-state": 1, "equal-optimal-prob": 1,
+        "residual-order": 1, "oracle-match": 1}
+    assert all(ok for r in results.values() for ok, _, _ in r)
 
 
 @pytest.mark.parametrize("dim, count, message", [(1, 10, "dimension must be at least 2"),
