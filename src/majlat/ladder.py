@@ -58,15 +58,20 @@ def monotones(p: ProbVec) -> np.ndarray:
     return monotone_rows(p.as_array())
 
 
+def _rank_deficit(need: int, has: int, target: str = "target", source: str = "source"
+                  ) -> RankDeficit:
+    """The error for a target with ``need`` entries above epsilon where its source has
+    ``has``; ``target`` and ``source`` name the two in the message."""
+    return RankDeficit(f"{target} needs {need} non-zero coefficients but {source} has {has}; "
+                       "conversion probability is 0")
+
+
 def _check_ranks(sources: np.ndarray, targets: np.ndarray) -> None:
     """Raise ``RankDeficit`` for the first row whose target has more entries above
     epsilon than its source."""
     for rs, rt in zip(rank_rows(sources), rank_rows(targets)):
         if rt > rs:
-            raise RankDeficit(
-                f"target needs {rt} non-zero coefficients but source has {rs}; "
-                "conversion probability is 0"
-            )
+            raise _rank_deficit(rt, rs)
 
 
 def _ratios(es: np.ndarray, et: np.ndarray, eps: float) -> np.ndarray:

@@ -5,9 +5,9 @@ d x d amplitude matrices, Schmidt spectra are the eigenvalues of the reduced
 density matrix, and a diagonal Kraus operator acts by scaling the matrix's
 rows.  Nothing here reuses the cumulative-sum or ladder code paths.
 
-Deterministic plan steps are simulated as direct spectrum replacement (the
-multi-round local protocol realizing them is out of scope); probabilistic
-steps are sampled from exact branch probabilities.
+A deterministic step only sets the spectrum that the next measurement acts on
+(the multi-round local protocol realizing it is out of scope); the dense state
+is built there, and measurements are sampled from exact branch probabilities.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import get_epsilon
 from .errors import NotNormalized
-from .protocols import ConversionPlan, KrausDiagonals, StepKind, validate_plan
+from .protocols import ConversionPlan, KrausDiagonals, MultiStatePlan, StepKind, validate_plan
 from .schmidt import ProbVec, _ArrayValue
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -140,25 +140,26 @@ def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[
 
 
 def _walk_plan(plan: ConversionPlan):
-    """Resolve each step once against the dense simulator.
+    """Resolve each measurement once, on a dense state built only where it acts.
 
-    Returns one (p_success, failure_spectrum) record per probabilistic step on
-    the success path, in execution order; all shots share these exact values.
-    ``failure_spectrum`` is an array, or None when the failure branch has
-    probability <= epsilon.
+    One (p_success, failure_spectrum) record per measurement on the success
+    path, in execution order, shared by all shots; ``failure_spectrum`` is an
+    array, or None for a failure branch of probability <= epsilon.
     """
     records = []
-    state = embed(plan.steps[0].from_state)
-    for step in plan.steps:
+    spectrum = plan.steps[0].from_state  # the spectrum the next measurement acts on
+    for step, after in zip(plan.steps, plan.steps[1:] + (None,)):
         if step.kind is StepKind.DETERMINISTIC:
-            state = embed(step.to_state)
+            spectrum = step.to_state
             continue
+        state = embed(spectrum)
         p_m, p_n = branch_probabilities(state, step.kraus)
         records.append((p_m, _branch_spectrum(state, step.kraus.n_diag, p_n).as_array()
                         if p_n > get_epsilon() else None))
         if p_m <= get_epsilon():
             break  # success path unreachable, later steps never execute
-        state = embed(_branch_spectrum(state, step.kraus.m_diag, p_m))
+        if after is not None and after.kind is StepKind.PROBABILISTIC:  # measured next
+            spectrum = _branch_spectrum(state, step.kraus.m_diag, p_m)
     return records
 
 
@@ -225,7 +226,7 @@ def _sum_of_copies(f: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def run_plan(plan: ConversionPlan, shots: int, seed=None) -> OutcomeStats:
+def run_plan(plan: ConversionPlan | MultiStatePlan, shots: int, seed=None) -> OutcomeStats:
     """Monte Carlo execution of a plan with a reproducible generator.
 
     Stream contract: shots run in order, and each shot draws one uniform from
@@ -240,13 +241,13 @@ def run_plan(plan: ConversionPlan, shots: int, seed=None) -> OutcomeStats:
     by ``_sum_of_copies`` in O(d log n) steps, with the bits of the one-by-one
     sum.  A plan with several measurements adds the spectra of its failures
     one at a time.  ``shots`` is an integer >= 1, numpy integers included;
-    anything else raises ``ValueError``.
+    anything else raises ``ValueError``.  A multi-state plan runs as its core.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, not {shots!r}")
     shots = int(shots)
     validate_plan(plan)
-    records = _walk_plan(plan)
+    records = _walk_plan(plan.core if isinstance(plan, MultiStatePlan) else plan)
     rng = np.random.default_rng(seed)
     failures, total, reached = 0, None, 0
     if len(records) == 1:

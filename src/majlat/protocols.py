@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import get_epsilon
-from .errors import DegenerateBranch, MajlatError, RankDeficit
+from .errors import DegenerateBranch, MajlatError
 from .lattice import join, join_many, meet, meet_many
-from .ladder import (RatioLadder, _check_ranks, _intermediate, monotone_rows, r_vector,
-                     ratio_ladder)
+from .ladder import (RatioLadder, _check_ranks, _intermediate, _rank_deficit, monotone_rows,
+                     r_vector, ratio_ladder)
 from .schmidt import (MajOrder, ProbVec, _ArrayValue, compare, effective_rank, margin_rows,
                       max_deviation, stack_rows)
 
@@ -279,9 +279,10 @@ def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
     targets = tuple(targets)
     if not targets:
         raise ValueError("need at least one target")
-    for i, t in enumerate(targets):
-        if effective_rank(t) > effective_rank(source):
-            raise RankDeficit(f"target #{i} needs more non-zero coefficients than the source")
+    has = effective_rank(source)
+    for i, need in enumerate(map(effective_rank, targets)):
+        if need > has:
+            raise _rank_deficit(need, has, target=f"target #{i}")
     ocr = meet_many([source, *targets])
     core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
     d = core.steps[-1].to_state.dim
@@ -303,9 +304,10 @@ def plan_multi_source(sources, target: ProbVec) -> MultiStatePlan:
     sources = tuple(sources)
     if not sources:
         raise ValueError("need at least one source")
-    for i, s in enumerate(sources):
-        if effective_rank(target) > effective_rank(s):
-            raise RankDeficit(f"source #{i} has fewer non-zero coefficients than the target needs")
+    need = effective_rank(target)
+    for i, has in enumerate(map(effective_rank, sources)):
+        if need > has:
+            raise _rank_deficit(need, has, source=f"source #{i}")
     ocp = join_many([*sources, target])
     core = _vidal(ocp, target, compare(ocp, target), source_name="common_product")
     d = core.steps[0].from_state.dim
@@ -351,9 +353,11 @@ def step_monotone_slacks(steps) -> list[float]:
     return slacks
 
 
-def validate_plan(plan: ConversionPlan) -> None:
+def validate_plan(plan: ConversionPlan | MultiStatePlan) -> None:
     """Check the invariants of a plan; raise ValueError on violation.
 
+    A multi-state plan is checked path by path in ``paths()`` order, or as its
+    core if it has neither heads nor tails; the first failure is reported.
     Every probabilistic step is re-applied to its input: the claimed success
     probability, success state and failure state must match what its Kraus
     operators give.  Comparisons are written so that NaN fails them.
@@ -375,6 +379,10 @@ def validate_plan(plan: ConversionPlan) -> None:
           success probability, success state or failure state other than
           what its Kraus operators give (checked in that order).
     """
+    if isinstance(plan, MultiStatePlan):
+        for path in plan.paths() or (plan.core,):
+            validate_plan(path)
+        return
     eps = get_epsilon()
     steps = plan.steps
     if not steps:
@@ -633,18 +641,11 @@ def plan_to_dot(plan: ConversionPlan | MultiStatePlan) -> str:
     edges: list[str] = []
     for step in plan.steps:
         nodes.setdefault(step.from_name, step.from_state)
-        nodes.setdefault(step.to_name, step.to_state)
-        if step.kind is StepKind.DETERMINISTIC:
-            edges.append(f'  "{step.from_name}" -> "{step.to_name}" [style=bold];')
-        else:
-            label = f"p={step.success_prob:.6g}"
-            edges.append(f'  "{step.from_name}" -> "{step.to_name}" [style=dashed, label="{label}"];')
-            if step.failure_state is not None:
-                nodes.setdefault(step.failure_name, step.failure_state)
-                flabel = f"p={1.0 - step.success_prob:.6g}"
-                edges.append(
-                    f'  "{step.from_name}" -> "{step.failure_name}" [style=dashed, label="{flabel}"];'
-                )
+        for name, (prob, state) in zip((step.to_name, step.failure_name), step_outcomes(step)):
+            nodes.setdefault(name, state)
+            style = ("bold" if step.kind is StepKind.DETERMINISTIC
+                     else f'dashed, label="p={prob:.6g}"')
+            edges.append(f'  "{step.from_name}" -> "{name}" [style={style}];')
     lines = [f"digraph {plan.protocol.replace('-', '_')} {{", "  rankdir=LR;"]
     for name, state in nodes.items():
         lines.append(f'  "{name}" [label="{name}\\n{state}"];')

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from majlat import config
+from majlat import config, oracle
 from majlat.errors import NotNormalized
 from majlat.ladder import p_max, ratio_ladder
 from majlat.oracle import (
@@ -27,11 +27,13 @@ from majlat.protocols import (
     apply_two_outcome,
     kraus_diagonals,
     plan_greedy,
+    plan_multi_source,
+    plan_multi_target,
     plan_thrifty,
     plan_vidal,
     validate_plan,
 )
-from majlat.sampling import random_incomparable_pairs
+from majlat.sampling import random_incomparable_pairs, random_prob_vecs
 from majlat.schmidt import canonicalize
 from majlat.sweep import run_sweep
 
@@ -392,6 +394,60 @@ def test_the_walk_stops_at_a_measurement_that_succeeds_with_probability_below_ep
         ours, draws = np.random.default_rng(shots), np.random.default_rng(shots).random(shots + 1)
         assert run_plan(plan, shots, seed=ours).successes == np.count_nonzero(draws[:-1] < p_dense)
         assert ours.random() == draws[-1]  # one uniform per shot
+
+
+@pytest.mark.parametrize("build", [
+    lambda vs: plan_multi_target(vs[0], vs[1:]),
+    lambda vs: plan_multi_source(vs[:-1], vs[-1]),
+], ids=["multi-target", "multi-source"])
+@pytest.mark.parametrize("members", [2, 3, 4])
+def test_run_plan_runs_a_multi_state_plan_as_its_core(build, members):
+    """Heads and tails are deterministic, so a multi-state plan reports what its core does."""
+    for dim in (3, 5, 8):
+        plan = build(random_prob_vecs(dim, members + 1, np.random.default_rng(dim * members)))
+        for shots in (1, BLOCK + 1, 15_000):
+            assert (run_plan(plan, shots, seed=shots).to_dict()
+                    == run_plan(plan.core, shots, seed=shots).to_dict())
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls the oracle makes to each of ``names``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(oracle, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+def test_the_walk_builds_a_dense_state_only_where_a_measurement_acts(worked_pair, monkeypatch):
+    plan = plan_thrifty(*worked_pair)
+    counts = _counting(monkeypatch, "embed", "_branch_spectrum")
+    oracle._walk_plan(plan)
+    assert counts == {"embed": 1, "_branch_spectrum": 1}  # failure branch only
+
+
+def test_the_walk_builds_a_success_branch_only_where_a_measurement_follows(worked_pair,
+                                                                            monkeypatch):
+    p = worked_pair[0]
+    kraus = KrausDiagonals(np.sqrt([1.0, 0.8, 0.6]), np.sqrt([0.0, 0.2, 0.4]))
+    one_step_plans, state = [], p
+    for _ in range(2):  # two measurements with no step between them
+        out = apply_two_outcome(state, kraus)
+        one_step_plans.append(ConversionPlan("h", (PlanStep(
+            StepKind.PROBABILISTIC, "a", state, "b", out.success_state, kraus, out.success_prob,
+            "residual", out.failure_state),)))
+        state = out.success_state
+    plan = _chain(*one_step_plans)
+    validate_plan(plan)
+    counts = _counting(monkeypatch, "embed", "_branch_spectrum")
+    records = oracle._walk_plan(plan)
+    assert counts == {"embed": 2, "_branch_spectrum": 3}  # two failure branches, one success
+    assert [prob for prob, _ in records] == pytest.approx(
+        [step.success_prob for step in plan.steps], abs=1e-12)
+    for shots in SHOT_COUNTS:
+        _assert_same_as_reference(plan, shots, shots)
 
 
 def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):

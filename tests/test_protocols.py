@@ -240,6 +240,14 @@ class TestMultiTarget:
         with pytest.raises(RankDeficit, match="target #1"):
             plan_multi_target(source, [canonicalize([0.7, 0.3, 0.0]), bad])
 
+    def test_rank_deficit_gives_the_counts(self):
+        source = canonicalize([0.6, 0.4, 0.0])
+        targets = [canonicalize([0.7, 0.3, 0.0]), canonicalize([0.5, 0.3, 0.2])]
+        with pytest.raises(RankDeficit) as info:
+            plan_multi_target(source, targets)
+        assert str(info.value) == ("target #1 needs 3 non-zero coefficients but source has 2; "
+                                   "conversion probability is 0")
+
     @given(st.integers(3, 6), st.integers(2, 4), rngs())
     def test_probability_is_worst_case(self, dim, m, rng):
         source, *targets = random_prob_vecs(dim, 1 + m, rng)
@@ -277,6 +285,13 @@ class TestMultiSource:
         with pytest.raises(RankDeficit, match="source #0"):
             plan_multi_source([canonicalize([0.6, 0.4, 0.0])], target)
 
+    def test_rank_deficit_gives_the_counts(self):
+        sources = [canonicalize([0.6, 0.4, 0.0]), canonicalize([0.4, 0.3, 0.3])]
+        with pytest.raises(RankDeficit) as info:
+            plan_multi_source(sources, canonicalize([0.5, 0.3, 0.2]))
+        assert str(info.value) == ("target needs 3 non-zero coefficients but source #0 has 2; "
+                                   "conversion probability is 0")
+
     @given(st.integers(3, 6), st.integers(2, 4), rngs())
     def test_probability_is_worst_case(self, dim, m, rng):
         *sources, target = random_prob_vecs(dim, m + 1, rng)
@@ -312,6 +327,31 @@ def test_multi_state_path_with_unreachable_end_fails_validation(worked_pair, bui
     tampered = dataclasses.replace(plan, **{field: (dataclasses.replace(first, **{end: bad}), *rest)})
     with pytest.raises(ValueError, match=f"deterministic step {name} is not allowed"):
         validate_plan(tampered.paths()[0])
+    with pytest.raises(ValueError, match=f"deterministic step {name} is not allowed"):
+        validate_plan(tampered)
+
+
+@pytest.mark.parametrize("build", [
+    lambda vs: plan_multi_target(vs[0], vs[1:]),
+    lambda vs: plan_multi_source(vs[:-1], vs[-1]),
+], ids=["multi-target", "multi-source"])
+@pytest.mark.parametrize("members", [2, 3, 4])
+def test_validate_plan_accepts_multi_state_plans(build, members):
+    vecs = random_prob_vecs(5, members + 1, np.random.default_rng(members))
+    validate_plan(build(vecs))
+    worked = [canonicalize([0.5, 0.4, 0.1]), canonicalize([0.6, 0.2, 0.2]),
+              canonicalize([0.7, 0.2, 0.1])]
+    validate_plan(build(worked))
+
+
+def test_validate_plan_checks_a_multi_state_plan_without_members_as_its_core(worked_pair):
+    plan = plan_multi_target(worked_pair[0], [worked_pair[1]])
+    validate_plan(dataclasses.replace(plan, tails=()))
+    core = plan.core
+    last = dataclasses.replace(core.steps[-1], success_prob=0.25)
+    tampered = dataclasses.replace(core, steps=core.steps[:-1] + (last,))
+    with pytest.raises(ValueError, match="claims success probability 0.25"):
+        validate_plan(dataclasses.replace(plan, core=tampered, tails=()))
 
 
 # --- cross-protocol properties ---------------------------------------------
