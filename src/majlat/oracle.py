@@ -5,9 +5,10 @@ d x d amplitude matrices, Schmidt spectra are the eigenvalues of the reduced
 density matrix, and a diagonal Kraus operator acts by scaling the matrix's
 rows.  Nothing here reuses the cumulative-sum or ladder code paths.
 
-A deterministic step only sets the spectrum that the next measurement acts on
-(the multi-round local protocol realizing it is out of scope); the dense state
-is built there, and measurements are sampled from exact branch probabilities.
+A plan of either kind is walked by its steps.  A deterministic step, a multi-state
+plan's heads and tails included, only sets the spectrum that the next measurement acts
+on (the multi-round local protocol realizing it is out of scope); the dense state is
+built there, and measurements are sampled from exact branch probabilities.
 """
 
 from __future__ import annotations
@@ -139,8 +140,8 @@ def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[
     return p_m, p_n
 
 
-def _walk_plan(plan: ConversionPlan):
-    """Resolve each measurement once, on a dense state built only where it acts.
+def _walk_plan(plan: ConversionPlan | MultiStatePlan):
+    """Resolve each measurement of ``plan.steps`` once, on a dense state built only where it acts.
 
     One (p_success, failure_spectrum) record per measurement on the success
     path, in execution order, shared by all shots; ``failure_spectrum`` is an
@@ -241,13 +242,13 @@ def run_plan(plan: ConversionPlan | MultiStatePlan, shots: int, seed=None) -> Ou
     by ``_sum_of_copies`` in O(d log n) steps, with the bits of the one-by-one
     sum.  A plan with several measurements adds the spectra of its failures
     one at a time.  ``shots`` is an integer >= 1, numpy integers included;
-    anything else raises ``ValueError``.  A multi-state plan runs as its core.
+    anything else raises ``ValueError``.  A multi-state plan reports what its core does.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, not {shots!r}")
     shots = int(shots)
     validate_plan(plan)
-    records = _walk_plan(plan.core if isinstance(plan, MultiStatePlan) else plan)
+    records = _walk_plan(plan)
     rng = np.random.default_rng(seed)
     failures, total, reached = 0, None, 0
     if len(records) == 1:

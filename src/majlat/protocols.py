@@ -12,8 +12,8 @@ residual is always majorized by the greedy one.
 
 A multi-state plan, for an undisclosed source or target out of several, is
 one core plan plus a deterministic head per source or tail per target.  It
-is valid when each of its paths, one head or tail plus the core, passes
-``validate_plan``.  ``plan_to_dot`` draws either kind of plan.
+is valid when each of its paths, one head or tail plus the core, is valid.
+``validate_plan`` checks, and ``plan_to_dot`` draws, either kind of plan.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 
@@ -106,8 +107,9 @@ class MultiStatePlan:
 
     Multi-source plans climb from each source by its deterministic head into
     the shared core; multi-target plans leave the shared core by one
-    deterministic tail per target.  One of ``heads`` and ``tails`` is empty.
-    Each path, one head or tail plus the core, is an ordinary conversion plan.
+    deterministic tail per target.  One of ``heads`` and ``tails`` is empty.  Each
+    path, one head or tail plus the core, is an ordinary conversion plan; ``validate_plan``
+    checks every path and rejects a head or tail that is not deterministic.
     """
 
     protocol: str
@@ -251,6 +253,14 @@ def plan_greedy(source: ProbVec, target: ProbVec) -> ConversionPlan:
     return ConversionPlan("greedy", steps, base.ladder)
 
 
+def _descent(source: ProbVec, ocr: ProbVec, targets, names) -> tuple[ConversionPlan, tuple]:
+    """The Vidal core from ``source`` to the meet ``ocr``, and a deterministic tail per
+    target; a meet is padded to its inputs' largest dimension, as the ladder pads."""
+    core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
+    return core, tuple([PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr, name,
+                                 t.padded(ocr.dim)) for name, t in zip(names, targets)])
+
+
 def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
     """Probabilistic phase first: measure down to the common resource, then
     convert deterministically.  Same success probability as the greedy plan,
@@ -259,13 +269,8 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
     order = compare(source, target)
     if order is not MajOrder.INCOMPARABLE:
         return _vidal(source, target, order)
-    ocr = meet(source, target)  # zero-padded to the larger dimension, as the ladder pads
-    core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
-    steps = core.steps + (
-        PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr,
-                 "target", target.padded(ocr.dim)),
-    )
-    return ConversionPlan("thrifty", steps, core.ladder)
+    core, tails = _descent(source, meet(source, target), (target,), ("target",))
+    return ConversionPlan("thrifty", core.steps + tails, core.ladder)
 
 
 def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
@@ -283,14 +288,8 @@ def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
     for i, need in enumerate(map(effective_rank, targets)):
         if need > has:
             raise _rank_deficit(need, has, target=f"target #{i}")
-    ocr = meet_many([source, *targets])
-    core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
-    d = core.steps[-1].to_state.dim
-    tails = tuple(
-        PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr.padded(d),
-                 f"target_{i}", t.padded(d))
-        for i, t in enumerate(targets)
-    )
+    core, tails = _descent(source, meet_many([source, *targets]), targets,
+                           [f"target_{i}" for i in range(len(targets))])
     return MultiStatePlan("multi-target", (), core, tails)
 
 
@@ -354,21 +353,21 @@ def step_monotone_slacks(steps) -> list[float]:
 
 
 def validate_plan(plan: ConversionPlan | MultiStatePlan) -> None:
-    """Check the invariants of a plan; raise ValueError on violation.
+    """Check the invariants of either kind of plan; raise ValueError on violation.
 
-    A multi-state plan is checked path by path in ``paths()`` order, or as its
-    core if it has neither heads nor tails; the first failure is reported.
     Every probabilistic step is re-applied to its input: the claimed success
     probability, success state and failure state must match what its Kraus
     operators give.  Comparisons are written so that NaN fails them.
 
-    The from/to states of all steps are stacked into one zero-padded array,
-    and the chaining, canonical-form and majorization checks are row-wise
-    reductions over it.  The first failure is reported, in this order:
+    The from/to states of all steps are stacked into one zero-padded array, and the
+    link, canonical-form and majorization checks are row-wise reductions over it, once
+    per step.  A link joins consecutive steps of the plan, or of a path of a multi-state
+    plan (``paths()``, or the core if it has none).  The first failure is reported:
 
     1. the plan has no steps;
-    2. a step does not end where the next one starts (first such pair);
-    3. step by step, in plan order:
+    2. a head or tail of a multi-state plan is not deterministic;
+    3. a step does not end where the next one starts (first such link, in ``paths()`` order);
+    4. step by step, in ``plan.steps`` order:
        a. a from/to state is not canonical (sum 1, sorted descending, no
           entry below -epsilon);
        b. a deterministic step is not a majorization move;
@@ -379,25 +378,30 @@ def validate_plan(plan: ConversionPlan | MultiStatePlan) -> None:
           success probability, success state or failure state other than
           what its Kraus operators give (checked in that order).
     """
-    if isinstance(plan, MultiStatePlan):
-        for path in plan.paths() or (plan.core,):
-            validate_plan(path)
-        return
     eps = get_epsilon()
     steps = plan.steps
     if not steps:
         raise ValueError("plan has no steps")
+    links, ends, starts = pairwise(range(len(steps))), slice(1, -1, 2), slice(2, None, 2)
+    if isinstance(plan, MultiStatePlan):
+        for step in plan.heads + plan.tails:
+            if step.kind is not StepKind.DETERMINISTIC:
+                raise ValueError(f"multi-state step {step.from_name}->{step.to_name} "
+                                 "is not deterministic")
+        at = {id(step): i for i, step in enumerate(steps)}
+        links = [(at[id(a)], at[id(b)]) for path in plan.paths() or (plan.core,)
+                 for a, b in pairwise(path.steps)]
+        ends, starts = [2 * a + 1 for a, _ in links], [2 * b for _, b in links]  # their rows
     states = [s for step in steps for s in (step.from_state, step.to_state)]
     dims = [s.dim for s in states]
     rows = stack_rows(states)  # row 2i: from-state of step i, row 2i+1: its to-state
     width = rows.shape[1]
     with np.errstate(all="ignore"):  # non-finite entries fail the checks, silently
-        if len(steps) > 1:
-            gaps = max_deviation(rows[1:-1:2], rows[2::2])
-            for i, ok in enumerate((gaps <= eps).tolist()):
-                if not ok:
-                    raise ValueError(f"step to {steps[i].to_name} does not lead to step from "
-                                     f"{steps[i + 1].from_name}")
+        gaps = max_deviation(rows[ends], rows[starts]).tolist() if len(steps) > 1 else []
+        for (a, b), gap in zip(links, gaps):  # how far step a ends from where step b starts
+            if not gap <= eps:
+                raise ValueError(f"step to {steps[a].to_name} does not lead to step from "
+                                 f"{steps[b].from_name}")
         sums = rows.sum(axis=1)
         for r, d in enumerate(dims):
             if d < width:  # zero padding changes numpy's pairwise sum

@@ -402,9 +402,15 @@ def test_the_walk_stops_at_a_measurement_that_succeeds_with_probability_below_ep
 ], ids=["multi-target", "multi-source"])
 @pytest.mark.parametrize("members", [2, 3, 4])
 def test_run_plan_runs_a_multi_state_plan_as_its_core(build, members):
-    """Heads and tails are deterministic, so a multi-state plan reports what its core does."""
+    """Heads and tails only set the spectrum, so walking all of ``plan.steps`` gives the
+    core's records, bit for bit, and a multi-state plan reports what its core does."""
     for dim in (3, 5, 8):
         plan = build(random_prob_vecs(dim, members + 1, np.random.default_rng(dim * members)))
+        ours, core = oracle._walk_plan(plan), oracle._walk_plan(plan.core)
+        assert len(ours) == len(core)
+        for (p, f), (p_core, f_core) in zip(ours, core):
+            assert p == p_core
+            assert (f is None and f_core is None) or f.tobytes() == f_core.tobytes()
         for shots in (1, BLOCK + 1, 15_000):
             assert (run_plan(plan, shots, seed=shots).to_dict()
                     == run_plan(plan.core, shots, seed=shots).to_dict())

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from majlat import protocols
 from majlat.config import get_epsilon
 from majlat.errors import DegenerateBranch, RankDeficit
 from majlat.lattice import join, meet, meet_many
+from majlat.oracle import run_plan
 from majlat.ladder import p_max, ratio_ladder
 from majlat.protocols import (
     ConversionPlan,
@@ -43,6 +45,7 @@ from majlat.schmidt import (
     effective_rank,
     majorizes_margin,
     pad_pair,
+    uniform,
 )
 
 from conftest import prob_vec_pairs, rngs
@@ -352,6 +355,150 @@ def test_validate_plan_checks_a_multi_state_plan_without_members_as_its_core(wor
     tampered = dataclasses.replace(core, steps=core.steps[:-1] + (last,))
     with pytest.raises(ValueError, match="claims success probability 0.25"):
         validate_plan(dataclasses.replace(plan, core=tampered, tails=()))
+
+
+MULTI_STATE_BUILDS = {
+    "multi-target": lambda vs: plan_multi_target(vs[0], vs[1:]),
+    "multi-source": lambda vs: plan_multi_source(vs[:-1], vs[-1]),
+}
+WORKED_THREE = ([0.5, 0.4, 0.1], [0.6, 0.2, 0.2], [0.7, 0.2, 0.1])
+
+
+def _measured(state: ProbVec, m_sq) -> PlanStep:
+    """A measurement of ``state`` with the squared success diagonal ``m_sq``, with the
+    branches that ``apply_two_outcome`` gives."""
+    kraus = KrausDiagonals(np.sqrt(m_sq), np.sqrt(1.0 - np.asarray(m_sq)))
+    out = apply_two_outcome(state, kraus)
+    return PlanStep(StepKind.PROBABILISTIC, "", state, "", out.success_state, kraus,
+                    out.success_prob, "residual", out.failure_state)
+
+
+def test_a_multi_target_plan_with_a_probabilistic_tail_is_rejected():
+    p, q, r = map(canonicalize, WORKED_THREE)
+    plan = plan_multi_target(p, [q, r])
+    tail = dataclasses.replace(_measured(plan.tails[0].from_state, np.square([1.0, 0.6, 0.3])),
+                               from_name="common_resource", to_name="target_2")
+    tampered = dataclasses.replace(plan, tails=plan.tails + (tail,))
+    validate_plan(tampered.paths()[-1])  # a valid path, which succeeds with 0.313, not 0.5
+    assert tampered.paths()[-1].success_prob == pytest.approx(0.313)
+    assert tampered.success_prob == 0.5
+    message = "multi-state step common_resource->target_2 is not deterministic"
+    with pytest.raises(ValueError, match=message):
+        validate_plan(tampered)
+    with pytest.raises(ValueError, match=message):
+        run_plan(tampered, 20_000, seed=1)
+
+
+def test_a_multi_source_plan_with_a_probabilistic_head_is_rejected():
+    p, q, r = map(canonicalize, WORKED_THREE)
+    plan = plan_multi_source([p, q], r)
+    ocp, m_sq = plan.heads[0].to_state.as_array(), np.array([0.5, 0.75, 1.0])
+    # a measurement whose success branch is the common product itself
+    head = dataclasses.replace(_measured(ProbVec(ocp / m_sq / (ocp / m_sq).sum()), m_sq),
+                               from_name="source_2", to_name="common_product")
+    tampered = dataclasses.replace(plan, heads=plan.heads + (head,))
+    validate_plan(tampered.paths()[-1])
+    assert tampered.paths()[-1].success_prob < tampered.success_prob == 1.0
+    with pytest.raises(ValueError, match="multi-state step source_2->common_product is not "
+                                         "deterministic"):
+        validate_plan(tampered)
+
+
+@pytest.mark.parametrize("kind", MULTI_STATE_BUILDS)
+def test_validate_plan_checks_each_step_of_a_multi_state_plan_once(kind, monkeypatch):
+    plan = MULTI_STATE_BUILDS[kind](random_prob_vecs(5, 9, np.random.default_rng(8)))
+    assert len(plan.paths()) == 8
+    assert sum(step.kind is StepKind.PROBABILISTIC for step in plan.steps) == 1
+    calls = []
+    branch_rows = protocols._branch_rows
+    monkeypatch.setattr(protocols, "_branch_rows", lambda *a: calls.append(a) or branch_rows(*a))
+    validate_plan(plan)
+    assert len(calls) == 1  # the core's measurement, once, not once per path
+
+
+def _path_by_path(plan):
+    """The reference: a multi-state plan is valid when each of its paths is."""
+    for path in plan.paths() or (plan.core,):
+        validate_plan(path)
+
+
+def _raised(check, plan):
+    try:
+        check(plan)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _tamperings(step: PlanStep):
+    """One field of ``step`` changed at a time: a non-canonical state, an end that no
+    majorization move reaches, a wrong success probability and a broken Kraus diagonal."""
+    d = step.from_state.dim
+    scaled = lambda s: ProbVec(1.5 * s.as_array())
+    yield dict(from_state=scaled(step.from_state))
+    yield dict(to_state=scaled(step.to_state))
+    yield dict(from_state=ProbVec(np.eye(d)[0]))
+    yield dict(to_state=uniform(d))
+    yield dict(success_prob=0.5 * (step.success_prob or 0.5))
+    kraus = step.kraus or KrausDiagonals(np.ones(d), np.zeros(d))
+    yield dict(kraus=KrausDiagonals(0.9 * kraus.m_diag, kraus.n_diag))
+    yield dict(kraus=KrausDiagonals(kraus.m_diag[:-1], kraus.n_diag[:-1]))
+
+
+def _tampered(plan, index: int, fields: dict):
+    """``plan`` with step ``index`` of ``plan.steps`` changed, in the head, core or tail it is in."""
+    heads, core, tails = list(plan.heads), list(plan.core.steps), list(plan.tails)
+    part, i = next((part, index - start) for part, start in
+                   ((heads, 0), (core, len(heads)), (tails, len(heads) + len(core)))
+                   if index - start < len(part))
+    part[i] = dataclasses.replace(part[i], **fields)
+    return dataclasses.replace(plan, heads=tuple(heads), tails=tuple(tails),
+                               core=dataclasses.replace(plan.core, steps=tuple(core)))
+
+
+@pytest.mark.parametrize("kind", MULTI_STATE_BUILDS)
+@pytest.mark.parametrize("dim", [3, 5, 8])
+def test_validate_plan_reports_a_single_fault_as_the_path_by_path_check_does(kind, dim):
+    rejected = 0
+    for members in range(1, 6):
+        plan = MULTI_STATE_BUILDS[kind](random_prob_vecs(
+            dim, members + 1, np.random.default_rng(100 * dim + members)))
+        assert _raised(validate_plan, plan) is None
+        for index, step in enumerate(plan.steps):
+            for fields in _tamperings(step):
+                tampered = _tampered(plan, index, fields)
+                expected = _raised(_path_by_path, tampered)
+                assert _raised(validate_plan, tampered) == expected
+                rejected += expected is not None
+    assert rejected > 100
+
+
+def test_validate_plan_reports_a_broken_link_before_a_fault_of_a_step():
+    p, q, r = map(canonicalize, WORKED_THREE)
+    plan = plan_multi_target(p, [q, r])
+    first = plan.core.steps[0]
+    plan = _tampered(plan, 0, dict(from_state=ProbVec(1.5 * first.from_state.as_array())))
+    plan = _tampered(plan, len(plan.steps) - 1, dict(from_state=q))
+    assert _raised(_path_by_path, plan) == (
+        ValueError, "non-canonical state in step source->intermediate")
+    assert _raised(validate_plan, plan) == (
+        ValueError, "step to common_resource does not lead to step from common_resource")
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 64])
+def test_a_thrifty_plan_is_a_one_target_plan_down_to_the_meet(dim):
+    """Thrifty and multi-target plans share one descent to the meet, bit for bit."""
+    for p, q in random_incomparable_pairs(dim, 4, np.random.default_rng(dim)):
+        thrifty, path = plan_thrifty(p, q), plan_multi_target(p, [q]).paths()[0]
+        *core, tail = path.steps
+        assert tail.to_name == "target_0"
+        steps = (*core, dataclasses.replace(tail, to_name="target"))
+        assert len(thrifty.steps) == 3 and thrifty.steps == steps
+        assert thrifty.ladder == path.ladder
+        for ours, theirs in zip(thrifty.steps, steps):
+            for name in ("from_state", "to_state", "failure_state"):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert (a is None and b is None) or a.as_array().tobytes() == b.as_array().tobytes()
 
 
 # --- cross-protocol properties ---------------------------------------------
