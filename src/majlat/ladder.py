@@ -102,44 +102,65 @@ def p_max(source: ProbVec, target: ProbVec) -> float:
     return float(p_max_rows(*pad_pair(source, target)))
 
 
+def ladder_rows(sources: np.ndarray, targets: np.ndarray) -> tuple[list, list]:
+    """Ratios and block indices of the ratio ladder of each row of sources to the same
+    row of targets (two ``(N, d)`` stacks of one shape, or two ``(d,)`` rows), one
+    list of each per row.
+
+    Raises ``RankDeficit`` for the first row whose conversion is impossible.  The
+    monotones, their ratios, each row's first block boundary l_1 and its first
+    ratio, which is its ``p_max``, are taken for all rows at once; then each row's
+    further rungs come from one ``_lower_hull`` call, each rung ratio a quotient of
+    two differences of monotones in Python floats.
+    """
+    _check_ranks(sources, targets)
+    es, et = _suffix_sums(sources), _suffix_sums(targets)
+    width = es.shape[-1]
+    ratios = _ratios(es, et, get_epsilon()).reshape(-1, width)
+    tops = ratios[:, :-1].argmin(axis=1)  # l1 - 1, the smallest-index minimizer
+    firsts = np.minimum.reduce(ratios, axis=1)  # ratios[l1 - 1], capped at 1 by the last column
+    rows_ratios, rows_indices = [], []
+    for x, y, top, first in zip(et.reshape(-1, width).tolist(), es.reshape(-1, width).tolist(),
+                                tops.tolist(), firsts.tolist()):
+        blocks = [top - v for v in _lower_hull(x[top::-1], y[top::-1])]
+        rows_ratios.append([first] + [(y[b] - y[a]) / (x[b] - x[a])
+                                      for a, b in zip(blocks, blocks[1:])])
+        rows_indices.append([b + 1 for b in blocks])
+    return rows_ratios, rows_indices
+
+
+def _padded(source: ProbVec, target: ProbVec) -> tuple[ProbVec, ProbVec]:
+    d = max(source.dim, target.dim)
+    return source.padded(d), target.padded(d)
+
+
 def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
-    """Full ratio ladder of the optimal source -> target conversion.
+    """Full ratio ladder of the optimal source -> target conversion: ``ladder_rows``
+    on one row.
 
     Rungs after the first are the edges of the lower convex hull of the
     points (E_target(l), E_source(l)), l = l_1..1; their slopes are the ratios.
     """
-    d = max(source.dim, target.dim)
-    source, target = source.padded(d), target.padded(d)
-    _check_ranks(source.as_array(), target.as_array())
-    es, et = _suffix_sums(source.as_array()), _suffix_sums(target.as_array())
-    ratios = _ratios(es, et, get_epsilon())
-    l1 = int(ratios[:-1].argmin()) + 1  # the smallest-index minimizer
-    r1 = float(min(ratios[l1 - 1], ratios[-1]))  # the last column caps it at 1
-    es, et = es.tolist(), et.tolist()
-    blocks = [l1 - 1 - v for v in _lower_hull(et[l1 - 1 :: -1], es[l1 - 1 :: -1])]
-    ratios = [r1] + [(es[b] - es[a]) / (et[b] - et[a]) for a, b in zip(blocks, blocks[1:])]
-    return RatioLadder(
-        source=source,
-        target=target,
-        ratios=tuple(ratios),
-        indices=tuple(b + 1 for b in blocks),
-    )
+    source, target = _padded(source, target)
+    (ratios,), (indices,) = ladder_rows(source.as_array(), target.as_array())
+    return RatioLadder(source=source, target=target, ratios=tuple(ratios),
+                       indices=tuple(indices))
+
+
+def r_rows(ratios, indices, shape: tuple[int, ...]) -> np.ndarray:
+    """Block-constant, non-increasing vectors of the given shape, ``(N, d)`` or ``(d,)``
+    for one, row i carrying ratios[i][j] on block j of indices[i]."""
+    values, widths = [], []
+    for row_ratios, row_indices in zip(ratios, indices):
+        bounds = [*row_indices[::-1], shape[-1] + 1]  # l_k = 1, ..., l_1, l_0
+        values += row_ratios[::-1]
+        widths += [b - a for a, b in zip(bounds, bounds[1:])]
+    return np.array(values).repeat(np.array(widths, dtype=np.intp)).reshape(shape)
 
 
 def r_vector(ladder: RatioLadder) -> np.ndarray:
     """Block-constant, non-increasing vector carrying ratio j on block j."""
-    rv = np.empty(ladder.dim)
-    hi = ladder.l0  # exclusive 1-indexed upper bound of the current block
-    for r, lo in zip(ladder.ratios, ladder.indices):
-        rv[lo - 1 : hi - 1] = r
-        hi = lo
-    return rv
-
-
-def _intermediate(ladder: RatioLadder) -> tuple[np.ndarray, ProbVec]:
-    """The ladder's block ratio vector and the intermediate state r * target."""
-    rv = r_vector(ladder)
-    return rv, ProbVec(rv * ladder.target.as_array())
+    return r_rows([ladder.ratios], [ladder.indices], (ladder.dim,))
 
 
 def intermediate_state(source: ProbVec, target: ProbVec) -> ProbVec:
@@ -149,4 +170,5 @@ def intermediate_state(source: ProbVec, target: ProbVec) -> ProbVec:
     the target spectrum; it majorizes the target and is majorized by the
     source.
     """
-    return _intermediate(ratio_ladder(source, target))[1]
+    ladder = ratio_ladder(source, target)
+    return ProbVec(r_vector(ladder) * ladder.target.as_array())

@@ -10,6 +10,13 @@ source and target), the thrifty protocol through the optimal common resource
 (the meet).  Both succeed with the same optimal probability; the thrifty
 residual is always majorized by the greedy one.
 
+Every protocol is one Vidal measurement with a deterministic detour, so one
+analysis serves them all: ``vidal_rows`` takes the ladder, intermediate
+state, Kraus diagonals, success probability and branches of each row of two
+``(N, d)`` stacks.  The planners call it on one pair, the N = 1 case; greedy
+ends in Vidal's measurement, and thrifty's core is the Vidal analysis from
+the source to the meet.  The sweep calls it on whole chunks of pairs.
+
 A multi-state plan, for an undisclosed source or target out of several, is
 one core plan plus a deterministic head per source or tail per target.  It
 is valid when each of its paths, one head or tail plus the core, is valid.
@@ -22,14 +29,15 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import get_epsilon
 from .errors import DegenerateBranch, MajlatError
 from .lattice import join, join_many, meet, meet_many
-from .ladder import (RatioLadder, _check_ranks, _intermediate, _rank_deficit, monotone_rows,
-                     r_vector, ratio_ladder)
+from .ladder import (RatioLadder, _check_ranks, _padded, _rank_deficit, ladder_rows,
+                     monotone_rows, r_rows, r_vector, ratio_ladder)
 from .schmidt import (MajOrder, ProbVec, _ArrayValue, compare, effective_rank, margin_rows,
                       max_deviation, stack_rows)
 
@@ -146,14 +154,19 @@ class TwoOutcomeResult:
 
     def require_failure(self) -> ProbVec:
         if self.failure_state is None:
-            raise DegenerateBranch("failure branch has probability ~0")
+            raise DegenerateBranch(_NO_FAILURE)
         return self.failure_state
 
 
-def _kraus(r1: float, rv: np.ndarray) -> KrausDiagonals:
+_NO_FAILURE = "failure branch has probability ~0"
+
+
+def _kraus_rows(r1, rv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of the success and failure operators from the first ratio ``r1`` and
+    the block ratio vector ``rv`` of a ladder, or ``(N, 1)`` and ``(N, d)`` stacks of them."""
     m_sq = r1 / rv
     n_sq = np.maximum(1.0 - m_sq, 0.0)  # the call np.clip(x, 0.0, None) makes, without its wrapper
-    return KrausDiagonals(m_diag=np.sqrt(m_sq), n_diag=np.sqrt(n_sq))
+    return np.sqrt(m_sq), np.sqrt(n_sq)
 
 
 def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
@@ -163,65 +176,114 @@ def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
     exactly 1 on the first block; the failure operator fills up to
     completeness and therefore vanishes there.
     """
-    return _kraus(ladder.ratios[0], r_vector(ladder))
+    return KrausDiagonals(*_kraus_rows(ladder.ratios[0], r_vector(ladder)))
 
 
-def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray
-                 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Born rule of a diagonal two-outcome measurement on the spectrum ``lam``.
+def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray):
+    """Born rule of a diagonal two-outcome measurement on each row of spectra ``lam``.
 
-    ``m_sq`` and ``n_sq`` are the squared Kraus diagonals.  Returns the success
-    probability ``m_sq @ lam`` and each branch's spectrum as a row sorted in
-    non-increasing order, or None for a branch of probability <= epsilon.
+    ``m_sq`` and ``n_sq`` are the squared Kraus diagonals, rows of the shape of
+    ``lam``.  Returns the success probabilities ``m_sq . lam``, row by row, and
+    per branch its spectra as rows sorted in non-increasing order, with a mask
+    of the rows where the branch has probability > epsilon; elsewhere the
+    branch has no spectrum, and its rows are not one.
     """
-    if lam.size != m_sq.size:
-        raise ValueError(f"state dimension {lam.size} != Kraus dimension {m_sq.size}")
-    p = float(m_sq @ lam)
+    if lam.shape[-1] != m_sq.shape[-1]:
+        raise ValueError(f"state dimension {lam.shape[-1]} != Kraus dimension {m_sq.shape[-1]}")
+    p = np.vecdot(m_sq, lam)  # row by row, the bits of ``m_sq[i] @ lam[i]``
     eps = get_epsilon()
 
-    def branch(op_sq: np.ndarray, prob: float) -> np.ndarray | None:
-        if prob <= eps:
-            return None
-        row = op_sq * lam / prob
-        row.sort()  # in place, as np.sort sorts its copy
-        return row[::-1]
+    def branch(op_sq: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kept = ~(prob <= eps)  # NaN keeps its branch, and its NaN spectrum fails every check
+        rows = op_sq * lam
+        np.divide(rows, prob[..., None], out=rows, where=kept[..., None])
+        rows.sort(axis=-1)  # in place, as np.sort sorts its copy
+        return rows[..., ::-1], kept
 
     return p, branch(m_sq, p), branch(n_sq, 1.0 - p)
 
 
-def _row_vec(row: np.ndarray | None) -> ProbVec | None:
-    return None if row is None else ProbVec(row)
+def _row_vec(row: np.ndarray, kept) -> ProbVec | None:
+    return ProbVec(row) if kept else None
 
 
 def apply_two_outcome(state: ProbVec, kraus: KrausDiagonals) -> TwoOutcomeResult:
     """Born-rule action of a diagonal two-outcome measurement on a spectrum."""
     p, success, failure = _branch_rows(state.as_array(), np.square(kraus.m_diag),
                                        np.square(kraus.n_diag))
-    return TwoOutcomeResult(success_prob=p, success_state=_row_vec(success),
-                            failure_state=_row_vec(failure))
+    return TwoOutcomeResult(success_prob=float(p), success_state=_row_vec(*success),
+                            failure_state=_row_vec(*failure))
+
+
+class VidalRows(NamedTuple):
+    """The Vidal analysis of N conversions that measure, row i that of ``sources[i]``
+    to ``targets[i]``, padded to one dimension d.
+
+    Per row: its ladder's ratios and indices (lists), the intermediate state
+    r * target, the Kraus diagonals, the success probability of the measurement
+    on the intermediate state, and its success and failure branches.  A success
+    branch of probability <= epsilon has no spectrum (``has_success``); a
+    failure branch always has one.
+    """
+
+    sources: np.ndarray
+    targets: np.ndarray
+    ratios: list
+    indices: list
+    intermediate: np.ndarray
+    m_diag: np.ndarray
+    n_diag: np.ndarray
+    success_prob: np.ndarray
+    success: np.ndarray
+    has_success: np.ndarray
+    failure: np.ndarray
+
+    def take(self, rows: np.ndarray) -> VidalRows:
+        """The analysis of the given rows, in their order."""
+        return VidalRows(*([value[i] for i in rows] if isinstance(value, list) else value[rows]
+                           for value in self))
+
+
+def vidal_rows(sources: np.ndarray, targets: np.ndarray) -> VidalRows:
+    """The conversion analysis all planners share, on each row of two ``(N, d)``
+    stacks of one shape: ladder, intermediate state, Kraus diagonals and Born rule.
+    Two ``(d,)`` rows are one conversion, whose arrays keep that shape.
+
+    Raises ``RankDeficit`` for a row whose conversion is impossible, and
+    ``DegenerateBranch`` for a row whose failure branch has probability <= epsilon.
+    """
+    ratios, indices = ladder_rows(sources, targets)
+    rv = r_rows(ratios, indices, targets.shape)
+    chi = rv * targets
+    m_diag, n_diag = _kraus_rows(rv[..., -1:], rv)  # the last entry lies on the first block
+    p, (success, has_success), (failure, has_failure) = _branch_rows(
+        chi, np.square(m_diag), np.square(n_diag))
+    if not has_failure.all():
+        raise DegenerateBranch(_NO_FAILURE)
+    return VidalRows(sources, targets, ratios, indices, chi, m_diag, n_diag, p, success,
+                     has_success, failure)
 
 
 def _vidal(source: ProbVec, target: ProbVec, order: MajOrder,
            source_name: str = "source", target_name: str = "target") -> ConversionPlan:
-    """The conversion analysis all planners share: the Vidal plan of a pair of known order.
-
-    Rank check and padding (in ``ratio_ladder``), ladder, intermediate state,
-    Kraus diagonals and measurement outcome are each computed once.
-    """
-    ladder = ratio_ladder(source, target)
-    src, tgt = ladder.source, ladder.target  # padded to common dimension
+    """The Vidal plan of a pair of known order: ``vidal_rows`` on one row, or only the
+    ladder where the source is majorized by the target."""
     if order in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
-        step = PlanStep(StepKind.DETERMINISTIC, source_name, src, target_name, tgt)
+        ladder = ratio_ladder(source, target)
+        step = PlanStep(StepKind.DETERMINISTIC, source_name, ladder.source, target_name,
+                        ladder.target)
         return ConversionPlan("vidal", (step,), ladder)
-    rv, chi = _intermediate(ladder)
-    kraus = _kraus(ladder.ratios[0], rv)
-    outcome = apply_two_outcome(chi, kraus)
+    src, tgt = _padded(source, target)
+    rows = vidal_rows(src.as_array(), tgt.as_array())
+    ladder = RatioLadder(src, tgt, tuple(rows.ratios[0]), tuple(rows.indices[0]))
+    chi = ProbVec(rows.intermediate)
     steps = (
         PlanStep(StepKind.DETERMINISTIC, source_name, src, "intermediate", chi),
         PlanStep(
             StepKind.PROBABILISTIC, "intermediate", chi, target_name, tgt,
-            kraus=kraus, success_prob=outcome.success_prob,
-            failure_name="residual", failure_state=outcome.require_failure(),
+            kraus=KrausDiagonals(rows.m_diag, rows.n_diag),
+            success_prob=float(rows.success_prob),
+            failure_name="residual", failure_state=ProbVec(rows.failure),
         ),
     )
     return ConversionPlan("vidal", steps, ladder)
@@ -328,13 +390,24 @@ def step_outcomes(step: PlanStep) -> list[tuple[float, ProbVec]]:
     return outs
 
 
-def step_monotone_slacks(steps) -> list[float]:
-    """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, for each step.
+def monotone_slack_rows(sources: np.ndarray, outcomes) -> np.ndarray:
+    """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, for each row of a
+    stack of steps alike in dimension and number of outcomes.
 
+    ``sources`` are the steps' ``(N, d)`` input rows; ``outcomes`` holds, per
+    outcome o, the ``(N,)`` probabilities p_o and the ``(N, d)`` output rows.
     Non-negative (within tolerance) for any physically allowed step: the
-    suffix-sum monotones cannot increase on average.  The states of a step are
-    padded to its largest dimension, and steps alike in dimension and number
-    of outcomes are evaluated together, as one stack of rows.
+    suffix-sum monotones cannot increase on average.
+    """
+    e_avg = sum(probs[:, None] * monotone_rows(rows) for probs, rows in outcomes)
+    return (monotone_rows(sources) - e_avg).min(axis=-1)
+
+
+def step_monotone_slacks(steps) -> list[float]:
+    """``monotone_slack_rows`` of each step.
+
+    The states of a step are padded to its largest dimension, and steps alike
+    in dimension and number of outcomes are evaluated together, as one stack.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     outcomes = [step_outcomes(step) for step in steps]
@@ -343,11 +416,11 @@ def step_monotone_slacks(steps) -> list[float]:
         groups.setdefault((d, len(outs)), []).append(i)
     slacks = [0.0] * len(steps)
     for (d, n_outs), members in groups.items():
-        e_avg = sum(np.array([[outcomes[i][o][0]] for i in members])
-                    * monotone_rows(stack_rows([outcomes[i][o][1] for i in members], d))
-                    for o in range(n_outs))
-        e_in = monotone_rows(stack_rows([steps[i].from_state for i in members], d))
-        for i, slack in zip(members, (e_in - e_avg).min(axis=-1).tolist()):
+        group = monotone_slack_rows(
+            stack_rows([steps[i].from_state for i in members], d),
+            [(np.array([outcomes[i][o][0] for i in members]),
+              stack_rows([outcomes[i][o][1] for i in members], d)) for o in range(n_outs)])
+        for i, slack in zip(members, group.tolist()):
             slacks[i] = slack
     return slacks
 
@@ -417,32 +490,33 @@ def validate_plan(plan: ConversionPlan | MultiStatePlan) -> None:
                 margins[i, pair_dim - 1:] = 0.0
         moves_ok = (np.minimum.reduce(margins, axis=1, initial=0.0) >= -eps).tolist()
 
-    for i, step in enumerate(steps):
-        name = f"{step.from_name}->{step.to_name}"
-        if not (canonical[2 * i] and canonical[2 * i + 1]):
-            raise ValueError(f"non-canonical state in step {name}")
-        if step.kind is StepKind.DETERMINISTIC:
-            if not moves_ok[i]:
-                raise ValueError(f"deterministic step {name} is not allowed")
-            continue
-        if step.kraus is None or step.success_prob is None:
-            raise ValueError("probabilistic step lacks Kraus data or probability")
-        if not (0.0 < step.success_prob <= 1.0):
-            raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
-        m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
-        if not (m_sq.size == n_sq.size and np.abs(m_sq + n_sq - 1.0).max(initial=0.0) <= eps):
-            raise ValueError("Kraus diagonals violate completeness")
-        p, success, failure = _branch_rows(rows[2 * i, : dims[2 * i]], m_sq, n_sq)
-        if not abs(p - step.success_prob) <= eps:
-            raise ValueError(f"step {name} claims success probability {step.success_prob}, "
-                             f"its Kraus operators give {p}")
-        for branch, claimed, derived in (("success", step.to_state, success),
-                                         ("failure", step.failure_state, failure)):
-            if claimed is not None and (derived is None
-                                        or not max_deviation(claimed.as_array(), derived) <= eps):
-                given = "a branch of probability ~0" if derived is None else _row_vec(derived)
-                raise ValueError(f"step {name} claims the {branch} state {claimed}, "
-                                 f"its Kraus operators give {given}")
+        for i, step in enumerate(steps):
+            name = f"{step.from_name}->{step.to_name}"
+            if not (canonical[2 * i] and canonical[2 * i + 1]):
+                raise ValueError(f"non-canonical state in step {name}")
+            if step.kind is StepKind.DETERMINISTIC:
+                if not moves_ok[i]:
+                    raise ValueError(f"deterministic step {name} is not allowed")
+                continue
+            if step.kraus is None or step.success_prob is None:
+                raise ValueError("probabilistic step lacks Kraus data or probability")
+            if not (0.0 < step.success_prob <= 1.0):
+                raise ValueError(f"success probability {step.success_prob} outside (0, 1]")
+            m_sq, n_sq = np.square(step.kraus.m_diag), np.square(step.kraus.n_diag)
+            if not (m_sq.size == n_sq.size and np.abs(m_sq + n_sq - 1.0).max(initial=0.0) <= eps):
+                raise ValueError("Kraus diagonals violate completeness")
+            p, success, failure = _branch_rows(rows[2 * i, : dims[2 * i]], m_sq, n_sq)
+            p = float(p)
+            if not abs(p - step.success_prob) <= eps:
+                raise ValueError(f"step {name} claims success probability {step.success_prob}, "
+                                 f"its Kraus operators give {p}")
+            for branch, claimed, (derived, kept) in (("success", step.to_state, success),
+                                                     ("failure", step.failure_state, failure)):
+                if claimed is not None and not (
+                        kept and max_deviation(claimed.as_array(), derived) <= eps):
+                    given = "a branch of probability ~0" if not kept else ProbVec(derived)
+                    raise ValueError(f"step {name} claims the {branch} state {claimed}, "
+                                     f"its Kraus operators give {given}")
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +631,20 @@ def _ladder_from_dict(doc: dict, steps: tuple[PlanStep, ...]) -> RatioLadder:
     target = _state(_field(doc, "target", "the ladder"), "ladder target")
     ratios = [*map(float, json_numbers(_field(doc, "ratios", "the ladder"), "ladder ratios"))]
     eps = get_epsilon()
-    if not (steps and max_deviation(source.as_array(), steps[0].from_state.as_array()) <= eps):
-        raise ValueError("the ladder's source is not the plan's first state")
-    if not any(max_deviation(target.as_array(), s.to_state.as_array()) <= eps for s in steps):
-        raise ValueError("the ladder's target is not the to-state of any step")
-    try:
-        with np.errstate(all="ignore"):  # a ladder of non-finite ratios fails the check below
+    with np.errstate(all="ignore"):  # non-finite states and ratios fail the checks, silently
+        if not (steps
+                and max_deviation(source.as_array(), steps[0].from_state.as_array()) <= eps):
+            raise ValueError("the ladder's source is not the plan's first state")
+        if not any(max_deviation(target.as_array(), s.to_state.as_array()) <= eps for s in steps):
+            raise ValueError("the ladder's target is not the to-state of any step")
+        try:
             ladder = ratio_ladder(source, target)
-    except (MajlatError, ZeroDivisionError) as exc:  # the states need not be canonical here
-        raise ValueError(f"the ladder's source and target have no ratio ladder: {exc}") from None
-    if not (tuple(indices) == ladder.indices and l0 == ladder.l0 and len(ratios) == ladder.k
-            and max_deviation(np.array(ratios), np.array(ladder.ratios)) <= eps):
-        raise ValueError("the ladder is not the ratio ladder of its source and target")
+        except (MajlatError, ZeroDivisionError) as exc:  # the states need not be canonical here
+            raise ValueError(f"the ladder's source and target have no ratio ladder: {exc}"
+                             ) from None
+        if not (tuple(indices) == ladder.indices and l0 == ladder.l0 and len(ratios) == ladder.k
+                and max_deviation(np.array(ratios), np.array(ladder.ratios)) <= eps):
+            raise ValueError("the ladder is not the ratio ladder of its source and target")
     return ladder
 
 
@@ -622,8 +698,10 @@ def plan_from_dict(doc: dict) -> ConversionPlan:
         last = _last_measurement(steps)
         if last is None:
             raise ValueError("plan has a residual but no probabilistic step")
-        if (plan.residual is None
-                or not max_deviation(residual.as_array(), plan.residual.as_array()) <= eps):
+        with np.errstate(invalid="ignore"):  # a non-finite residual fails the check
+            off = plan.residual is None or not max_deviation(residual.as_array(),
+                                                             plan.residual.as_array()) <= eps
+        if off:
             raise ValueError(f"plan residual {residual} is not the failure state of step "
                              f"{last.from_name}->{last.to_name}")
     return plan

@@ -192,13 +192,13 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest absolute entrywise difference, row by row, after zero padding the shorter
     (0 for empty rows).
 
-    NaN where a difference is NaN (inf - inf gives one), so every ``<= tol`` test fails.
+    NaN where a difference is NaN (inf - inf gives one), so every ``<= tol`` test fails;
+    a caller that can meet non-finite entries holds ``np.errstate(invalid="ignore")``.
     """
     if a.shape[-1] != b.shape[-1]:
         width = max(a.shape[-1], b.shape[-1])
         a, b = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, width - x.shape[-1])]) for x in (a, b))
-    with np.errstate(invalid="ignore"):
-        return np.maximum.reduce(np.abs(a - b), axis=-1, initial=0.0)
+    return np.maximum.reduce(np.abs(a - b), axis=-1, initial=0.0)
 
 
 def partial_sum_margins(p: ProbVec, q: ProbVec) -> np.ndarray:

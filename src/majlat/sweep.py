@@ -21,9 +21,11 @@ source).  It works through the instances in chunks of at most
    instances draws.
 2. It evaluates each selected property once over the chunk, through the row
    kernels of ``schmidt``, ``lattice``, ``ladder`` and ``protocols``.  The
-   checkers share the chunk's analysis (order, meet, join, Vidal and thrifty
-   plans), each piece built at most once and only when a checker asks for
-   it; plans and the dense oracle are built instance by instance.
+   checkers share the chunk's analysis (order, meet, join, and the Vidal
+   analysis ``protocols.vidal_rows`` of the Vidal, greedy and thrifty
+   conversions), each piece built at most once and only when a checker asks
+   for it.  No plan object is built; only the dense oracle works instance by
+   instance.
 
 A report does not depend on the chunk size.  When a checker raises, the chunk
 is evaluated again one instance at a time, so that the error is the one a
@@ -41,14 +43,7 @@ from .config import get_epsilon
 from .lattice import join_rows, meet_rows
 from .ladder import monotone_rows, p_max_rows
 from .oracle import _branch_spectrum, _reported_seed, branch_probabilities, embed
-from .protocols import (
-    ConversionPlan,
-    apply_two_outcome,
-    plan_greedy,
-    plan_thrifty,
-    plan_vidal,
-    step_monotone_slacks,
-)
+from .protocols import KrausDiagonals, VidalRows, monotone_slack_rows, vidal_rows
 from .sampling import (
     random_prob_rows,
     random_tied_rows,
@@ -56,7 +51,7 @@ from .sampling import (
     sharpening_rows,
     transfer_draws,
 )
-from .schmidt import ProbVec, below_rows, max_deviation, min_margin_rows, rank_rows, stack_rows
+from .schmidt import ProbVec, below_rows, max_deviation, min_margin_rows, rank_rows
 
 EQUALITY_TOL = 1e-12
 MARGIN_FLOOR = -1e-9
@@ -114,10 +109,6 @@ class SweepReport:
 
 def _desc(*rows) -> dict:
     return {f"vector_{i}": row.tolist() for i, row in enumerate(rows)}
-
-
-def _plan_desc(plan: ConversionPlan) -> dict:
-    return _desc(plan.ladder.source.as_array(), plan.ladder.target.as_array())
 
 
 def _first_min(*columns) -> list[float]:
@@ -231,16 +222,14 @@ def _check_equal_optimal_prob(P, Q, M) -> list:
         "check": "equal-optimal-prob", "deviation": -slack, **_desc(P[i], Q[i])})
 
 
-def _check_residual_order(vidal, thrifty) -> list:
-    """Theorem 2: thrifty residual and intermediate are majorized by the Vidal (greedy) ones."""
-    slack = _first_min(
-        min_margin_rows(stack_rows([t.residual for t in thrifty]),
-                        stack_rows([v.residual for v in vidal])),
-        min_margin_rows(stack_rows([t.steps[0].to_state for t in thrifty]),
-                        stack_rows([v.steps[0].to_state for v in vidal])),
-    )
+def _check_residual_order(vidal: VidalRows, thrifty: VidalRows) -> list:
+    """Theorem 2: thrifty residual and intermediate are majorized by the Vidal (greedy)
+    ones, given the Vidal analysis of each pair and thrifty's core, that of its source
+    to its meet."""
+    slack = _first_min(min_margin_rows(thrifty.failure, vidal.failure),
+                       min_margin_rows(thrifty.intermediate, vidal.intermediate))
     return _results(np.array(slack) >= MARGIN_FLOOR, slack, lambda i, _: {
-        "check": "residual-order", **_plan_desc(vidal[i])})
+        "check": "residual-order", **_desc(vidal.sources[i], vidal.targets[i])})
 
 
 def _draw_multi_state(dim: int, rng):
@@ -277,56 +266,90 @@ def _check_multi_state(instances) -> list:
         "check": "multi-state", "deviation": -slack, **_desc(source[i], target[i])})
 
 
-def _check_monotone_soundness(plan_groups) -> list:
-    """Average monotones never increase along the steps of each instance's plans."""
-    slacks = iter(step_monotone_slacks([s for plans in plan_groups for plan in plans
-                                        for s in plan.steps]))
-    slack = [min(next(slacks) for plan in plans for _ in plan.steps) for plans in plan_groups]
+def _move(sources, targets) -> tuple:
+    """A deterministic step on each row, from ``sources`` to ``targets``, as
+    ``monotone_slack_rows`` takes it."""
+    return sources, [(np.ones(len(sources)), targets)]
+
+
+def _vidal_steps(v: VidalRows) -> list:
+    """The steps of each row's Vidal plan: the move to the intermediate state, then
+    the measurement with its success and failure branches."""
+    p = v.success_prob
+    return [_move(v.sources, v.intermediate),
+            (v.intermediate, [(p, v.targets), (1.0 - p, v.failure)])]
+
+
+def _greedy_steps(v: VidalRows, joins) -> list:
+    """The steps of each row's greedy plan: Vidal's, after a detour through the join."""
+    return [_move(v.sources, joins), _move(joins, v.intermediate), _vidal_steps(v)[1]]
+
+
+def _thrifty_steps(core: VidalRows, targets) -> list:
+    """The steps of each row's thrifty plan: its core's, the Vidal plan down to the
+    meet, then the move from the meet to the target."""
+    return _vidal_steps(core) + [_move(core.targets, targets)]
+
+
+def _check_monotone_soundness(P, Q, plans) -> list:
+    """Average monotones never increase along the steps of each instance's plans.
+
+    ``plans`` holds, per plan, the positions of the pairs ``P``, ``Q`` it belongs to
+    and its steps on those rows, as the ``_vidal_steps`` kind return them.
+    """
+    columns = []
+    for at, steps in plans:
+        for sources, outcomes in steps:
+            column = np.full(len(P), np.inf)  # inf leaves the row's min alone
+            column[at] = monotone_slack_rows(sources, outcomes)
+            columns.append(column)
+    slack = _first_min(*columns)
     return _results(np.array(slack) >= MARGIN_FLOOR, slack, lambda i, _: {
-        "check": "monotone-soundness", **_plan_desc(plan_groups[i][0])})
+        "check": "monotone-soundness", **_desc(P[i], Q[i])})
 
 
-def _check_oracle_match(plans) -> list:
-    """The measurement of each Vidal plan on the dense simulator matches the analytic one."""
+def _check_oracle_match(v: VidalRows) -> list:
+    """The measurement of each row's Vidal analysis on the dense simulator matches the
+    analytic one; a success branch of probability <= epsilon has no spectrum to match."""
     results = []
-    for vidal in plans:
-        measurement = vidal.steps[1]
-        chi, kraus = measurement.from_state, measurement.kraus
-        analytic = apply_two_outcome(chi, kraus)
+    for i, (p, has_success) in enumerate(zip(v.success_prob.tolist(), v.has_success.tolist())):
+        chi, kraus = ProbVec(v.intermediate[i]), KrausDiagonals(v.m_diag[i], v.n_diag[i])
         state = embed(chi)
         p_m, p_n = branch_probabilities(state, kraus)
-        devs = [abs(p_m - analytic.success_prob), abs(p_m + p_n - 1.0)]
-        succ = _branch_spectrum(state, kraus.m_diag, p_m)
-        devs.append(float(max_deviation(succ.as_array(), analytic.success_state.as_array())))
-        if analytic.failure_state is not None:
-            fail = _branch_spectrum(state, kraus.n_diag, p_n)
-            devs.append(float(max_deviation(fail.as_array(), analytic.failure_state.as_array())))
+        devs = [abs(p_m - p), abs(p_m + p_n - 1.0)]
+        branches = [(kraus.m_diag, p_m, v.success[i])] if has_success else []
+        for diag, prob, analytic in branches + [(kraus.n_diag, p_n, v.failure[i])]:
+            devs.append(float(max_deviation(_branch_spectrum(state, diag, prob).as_array(),
+                                            analytic)))
         dev = max(devs)
         ok = dev <= ORACLE_TOL
         results.append((ok, -dev, None if ok else {"check": "oracle-match", "deviation": dev,
-                                                   **_plan_desc(vidal)}))
+                                                   **_desc(v.sources[i], v.targets[i])}))
     return results
 
 
 class _Pairs:
     """A chunk of drawn pairs and their analysis, each piece built on first use and then kept.
 
-    The pieces are built through this module's names, so a replaced kernel or
-    planner reaches every checker that reads them.
+    The pieces are built through this module's names, so a replaced kernel reaches
+    every checker that reads them.
     """
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows  # (N, 2, d)
         self.P, self.Q = rows[:, 0], rows[:, 1]
-        self._vecs: dict = {}
-        self._plans: dict = {}
 
     def __len__(self) -> int:
         return len(self.rows)
 
     @cached_property
+    def below(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each pair's source is majorized by its target, and the converse."""
+        return below_rows(self.P, self.Q)
+
+    @cached_property
     def incomparable(self) -> np.ndarray:
-        p_below_q, q_below_p = below_rows(self.P, self.Q)
+        p_below_q, q_below_p = self.below
         return ~(p_below_q | q_below_p)
 
     @cached_property
@@ -349,27 +372,44 @@ class _Pairs:
     def join(self) -> np.ndarray:
         return join_rows(self.rows)
 
-    def vecs(self, i: int) -> tuple[ProbVec, ProbVec]:
-        """Pair i as the planners take it."""
-        if i not in self._vecs:
-            self._vecs[i] = ProbVec(self.P[i]), ProbVec(self.Q[i])
-        return self._vecs[i]
+    @cached_property
+    def conversions(self) -> np.ndarray:
+        """Indices of the incomparable pairs that can be converted."""
+        return np.flatnonzero(_conversions(self, None))
 
-    def plan(self, planner, i: int) -> ConversionPlan:
-        """The plan of pair i that ``planner`` builds."""
-        if (planner, i) not in self._plans:
-            self._plans[planner, i] = planner(*self.vecs(i))
-        return self._plans[planner, i]
+    @cached_property
+    def measured(self) -> tuple[np.ndarray, VidalRows]:
+        """Indices of the convertible pairs whose Vidal plans measure, those whose source
+        is not majorized by their target, and the Vidal analysis of those pairs."""
+        rows = np.flatnonzero(self.convertible & ~self.below[0])
+        return rows, vidal_rows(self.P[rows], self.Q[rows])
+
+    @cached_property
+    def vidal(self) -> VidalRows:
+        """The Vidal analysis of the conversions; greedy plans end in the same measurement."""
+        rows, analysis = self.measured
+        return analysis.take(np.flatnonzero(self.incomparable[rows]))
+
+    @cached_property
+    def thrifty(self) -> VidalRows:
+        """Thrifty's core on the conversions: the Vidal analysis from each source to the meet."""
+        rows = self.conversions
+        return vidal_rows(self.P[rows], self.meet[rows])
 
 
 def _monotone_soundness(a: _Pairs, rows, _):
-    groups = []
-    for i in rows:
-        plans = [a.plan(plan_vidal, i)]
-        if a.incomparable[i]:
-            plans += [plan_greedy(*a.vecs(i)), a.plan(plan_thrifty, i)]
-        groups.append(plans)
-    return _check_monotone_soundness(groups)
+    """The Vidal plan of each convertible pair, one deterministic step where its source is
+    majorized by its target, and the greedy and thrifty plans of each conversion."""
+    measured, analysis = a.measured
+    at, conversions = np.searchsorted(rows, measured), np.searchsorted(rows, a.conversions)
+    moves = np.flatnonzero(a.below[0][rows])
+    P, Q = a.P[rows], a.Q[rows]
+    return _check_monotone_soundness(P, Q, [
+        (at, _vidal_steps(analysis)),
+        (moves, [_move(P[moves], Q[moves])]),
+        (conversions, _greedy_steps(a.vidal, a.join[a.conversions])),
+        (conversions, _thrifty_steps(a.thrifty, a.Q[a.conversions])),
+    ])
 
 
 def _fans_convertible(a: _Pairs, draws) -> np.ndarray:
@@ -405,14 +445,13 @@ CHECKERS = {
                        lambda a, rows, draws: _check_hadamard(*_tied_rows(draws))),
     "equal-optimal-prob": (_conversions, None, lambda a, rows, _: _check_equal_optimal_prob(
         a.P[rows], a.Q[rows], a.meet[rows])),
-    "residual-order": (_conversions, None, lambda a, rows, _: _check_residual_order(
-        [a.plan(plan_vidal, i) for i in rows], [a.plan(plan_thrifty, i) for i in rows])),
+    "residual-order": (_conversions, None,
+                       lambda a, rows, _: _check_residual_order(a.vidal, a.thrifty)),
     "multi-state": (_fans_convertible, _draw_multi_state, lambda a, rows, draws:
                     _check_multi_state([(a.P[i], [a.Q[i], *targets], [a.P[i], *sources], a.Q[i])
                                         for i, (targets, sources) in zip(rows, draws)])),
     "monotone-soundness": (lambda a, _: a.convertible, None, _monotone_soundness),
-    "oracle-match": (_conversions, None, lambda a, rows, _: _check_oracle_match(
-        [a.plan(plan_vidal, i) for i in rows])),
+    "oracle-match": (_conversions, None, lambda a, rows, _: _check_oracle_match(a.vidal)),
 }
 
 ALIASES = {

@@ -6,7 +6,7 @@ and time budgets are fixed here and are not meant to be tuned.  The paper's
 properties and their tolerances are stated once, as the checkers of
 ``majlat.sweep``; criteria 2-5, 7 and 9 only choose the instances and hand
 them to the checkers in batches: pairs as ``(N, d)`` stacks of rows with
-their meets, and each pair's plans, built once, as lists.
+their meets, and the Vidal analysis of those rows (``protocols.vidal_rows``).
 """
 
 import io
@@ -24,7 +24,7 @@ from majlat.cli import main as cli_main
 from majlat.lattice import join_many, meet, meet_rows
 from majlat.ladder import p_max, ratio_ladder
 from majlat.oracle import run_plan
-from majlat.protocols import kraus_diagonals, plan_thrifty, plan_vidal
+from majlat.protocols import kraus_diagonals, plan_thrifty, plan_vidal, vidal_rows
 from majlat.sampling import (
     random_incomparable_pairs,
     random_prob_rows,
@@ -41,7 +41,9 @@ from majlat.sweep import (
     _check_multi_state,
     _check_oracle_match,
     _check_residual_order,
+    _thrifty_steps,
     _tied_rows,
+    _vidal_steps,
     run_sweep,
 )
 
@@ -89,19 +91,22 @@ def pair_rows(pairs):
 def protocol_scan():
     """Theorem 2 and step soundness over the shared ensembles (criteria 3 and 9).
 
-    Each pair's Vidal and thrifty plans are built once and handed to both
-    checkers, a thousand pairs at a time.
+    The Vidal analysis of each pair and of its source to its meet (thrifty's
+    core) is built once and handed to both checkers, a thousand pairs at a time;
+    step soundness covers the steps of the Vidal and the thrifty plan.
     """
     if "scan" not in _cache:
         thm2 = PropertyOutcome("residual-order")
         steps = PropertyOutcome("monotone-soundness")
         for pairs in incomparable_ensembles().values():
             for start in range(0, len(pairs), 1_000):
-                greedy = [plan_vidal(p, q) for p, q in pairs[start:start + 1_000]]
-                thrifty = [plan_thrifty(p, q) for p, q in pairs[start:start + 1_000]]
-                for result in _check_residual_order(greedy, thrifty):
+                P, Q, M = pair_rows(pairs[start:start + 1_000])
+                vidal, thrifty = vidal_rows(P, Q), vidal_rows(P, M)
+                for result in _check_residual_order(vidal, thrifty):
                     thm2.record(*result)
-                for result in _check_monotone_soundness(list(zip(greedy, thrifty))):
+                every = np.arange(len(P))
+                for result in _check_monotone_soundness(P, Q, [
+                        (every, _vidal_steps(vidal)), (every, _thrifty_steps(thrifty, Q))]):
                     steps.record(*result)
         _cache["scan"] = (thm2, steps)
     return _cache["scan"]
@@ -243,13 +248,11 @@ def oracle_checks():
     """Kraus completeness of each Vidal measurement, then the oracle-match check."""
     ensembles = incomparable_ensembles()
     for d in DIMS:
-        plans = [plan_vidal(p, q) for p, q in ensembles[d][:170]]
-        for vidal in plans:
-            kraus = vidal.steps[1].kraus
-            m = np.asarray(kraus.m_diag)
-            n = np.asarray(kraus.n_diag)
+        P, Q, _ = pair_rows(ensembles[d][:170])
+        vidal = vidal_rows(P, Q)
+        for m, n in zip(vidal.m_diag, vidal.n_diag):
             assert np.max(np.abs(m**2 + n**2 - 1.0)) <= 1e-12
-        yield from _check_oracle_match(plans)
+        yield from _check_oracle_match(vidal)
 
 
 def test_criterion_7_kraus_completeness_and_oracle_equivalence():

@@ -102,8 +102,11 @@ def test_max_deviation_zero_pads_and_fails_on_nan():
     assert max_deviation(a, b).tolist() == [0.0, 0.2]
     assert max_deviation(b, a).tolist() == [0.0, 0.2]
     assert max_deviation(a[1], b[1]) == max_deviation(a, b)[1]
-    with np.errstate(all="raise"):  # inf - inf gives NaN without a warning
-        devs = max_deviation(np.array([[np.inf, 0.0], [np.nan, 0.0]]),
-                             np.array([[np.inf, 0.0], [0.0, 0.0]]))
+    inf_and_nan = np.array([[np.inf, 0.0], [np.nan, 0.0]]), np.array([[np.inf, 0.0], [0.0, 0.0]])
+    with np.errstate(invalid="ignore"):  # the caller's context: inf - inf gives NaN silently
+        devs = max_deviation(*inf_and_nan)
     assert np.isnan(devs).all()
     assert not (devs <= 1.0).any()
+    # max_deviation enters no context of its own: outside one, inf - inf is reported
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        max_deviation(*inf_and_nan)

@@ -12,9 +12,9 @@ import hypothesis.strategies as st
 from majlat import protocols
 from majlat.config import get_epsilon
 from majlat.errors import DegenerateBranch, RankDeficit
-from majlat.lattice import join, meet, meet_many
+from majlat.lattice import join, join_rows, meet, meet_many, meet_rows
 from majlat.oracle import run_plan
-from majlat.ladder import p_max, ratio_ladder
+from majlat.ladder import ladder_rows, p_max, ratio_ladder
 from majlat.protocols import (
     ConversionPlan,
     KrausDiagonals,
@@ -35,11 +35,14 @@ from majlat.protocols import (
     step_monotone_slacks,
     step_outcomes,
     validate_plan,
+    vidal_rows,
 )
-from majlat.sampling import random_incomparable_pairs, random_prob_vecs
+from majlat.sampling import (random_incomparable_pairs, random_prob_rows, random_prob_vecs,
+                             random_tied_rows)
 from majlat.schmidt import (
     MajOrder,
     ProbVec,
+    below_rows,
     canonicalize,
     compare,
     effective_rank,
@@ -571,6 +574,65 @@ def test_step_slacks_of_mixed_steps_equal_one_step_at_a_time():
     steps += [short, dataclasses.replace(measured, failure_state=None)]
     rng.shuffle(steps)
     assert step_monotone_slacks(steps) == [_step_slack_reference(s) for s in steps]
+
+
+def _row_pairs(d: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """1,000 source and target rows of dimension d: flat-Dirichlet pairs, equivalent
+    pairs, comparable pairs with tied partial sums both ways round, and pairs whose
+    target, or both of whose vectors, end in a zero."""
+    pairs = [random_prob_rows(d, 2, rng) for _ in range(500)]
+    for _ in range(100):
+        p = random_prob_rows(d, 1, rng)[0]
+        x, y, _ = random_tied_rows(d, rng)
+        short = np.append(random_prob_rows(d - 1, 2, rng), np.zeros((2, 1)), axis=1)
+        pairs += [(p, p), (x, y), (y, x), (p, short[0]), tuple(short)]
+    rows = np.array(pairs)
+    return rows[:, 0], rows[:, 1]
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 64, 512])
+def test_the_row_analysis_is_the_per_pair_planners_bit_for_bit(d):
+    """One chunk of 1,000 rows through ``ladder_rows`` and ``vidal_rows`` against the
+    planners one pair at a time: every ladder, and for each plan that measures its
+    intermediate state, Kraus diagonals, probability and both branches."""
+    P, Q = _row_pairs(d, np.random.default_rng(100 + d))
+    vecs = [(ProbVec(p), ProbVec(q)) for p, q in zip(P, Q)]
+    ladders = [ratio_ladder(p, q) for p, q in vecs]
+    assert list(zip(*ladder_rows(P, Q))) == [(list(l.ratios), list(l.indices)) for l in ladders]
+    p_below_q, q_below_p = below_rows(P, Q)
+    measured, conversions = np.flatnonzero(~p_below_q), np.flatnonzero(~(p_below_q | q_below_p))
+    assert len(conversions) < len(measured) < len(P) and (d == 2 or len(conversions))
+    pairs = np.stack((P, Q), axis=1)
+    M, J = meet_rows(pairs), join_rows(pairs)
+    for rows, at, planner, first in (
+            (vidal_rows(P[measured], Q[measured]), measured, plan_vidal, 0),
+            (vidal_rows(P[conversions], Q[conversions]), conversions, plan_greedy, 1),
+            (vidal_rows(P[conversions], M[conversions]), conversions, plan_thrifty, 0)):
+        for k, i in enumerate(at):
+            plan = planner(*vecs[i])
+            move, measurement = plan.steps[first], plan.steps[first + 1]
+            assert measurement.kind is StepKind.PROBABILISTIC
+            assert (plan.ladder.ratios, plan.ladder.indices) == (tuple(rows.ratios[k]),
+                                                                 tuple(rows.indices[k]))
+            assert _bits(move.to_state.as_array()) == _bits(rows.intermediate[k])
+            assert _bits(measurement.from_state.as_array()) == _bits(rows.intermediate[k])
+            assert _bits(measurement.to_state.as_array()) == _bits(rows.targets[k])
+            assert _bits(measurement.kraus.m_diag) == _bits(rows.m_diag[k])
+            assert _bits(measurement.kraus.n_diag) == _bits(rows.n_diag[k])
+            assert measurement.success_prob == rows.success_prob[k]
+            assert _bits(measurement.failure_state.as_array()) == _bits(rows.failure[k])
+            success = apply_two_outcome(measurement.from_state, measurement.kraus).success_state
+            assert (success is not None) == rows.has_success[k]
+            assert success is None or _bits(success.as_array()) == _bits(rows.success[k])
+        if planner is plan_greedy:
+            assert all(_bits(planner(*vecs[i]).steps[0].to_state.as_array()) == _bits(J[i])
+                       for i in at)
+        if planner is plan_thrifty:
+            assert _bits(rows.targets) == _bits(M[at])
 
 
 # --- serialization ----------------------------------------------------------

@@ -30,7 +30,7 @@ import pytest
 
 from majlat import config, protocols, sampling, sweep
 from majlat.cli import main
-from majlat.errors import RankDeficit
+from majlat.errors import DegenerateBranch, RankDeficit
 
 GOLDEN = Path(__file__).with_name("sweep_golden.json")
 SWEEPS = [(d, s) for d in (2, 3, 5, 8) for s in (1, 2)]
@@ -109,16 +109,17 @@ def _first_member(stack):
     return stack[..., 0, :]
 
 
-def _reversed_first_step(plan):
-    """The plan with its first step run backwards (more ordered -> less ordered)."""
-    first = plan.steps[0]
-    backwards = dataclasses.replace(first, from_state=first.to_state, to_state=first.from_state)
-    return dataclasses.replace(plan, steps=(backwards,) + plan.steps[1:])
+def _backwards(sources, targets):
+    """The Vidal analysis with its first move run backwards, from the intermediate state
+    (more ordered) to the source (less ordered)."""
+    rows = protocols.vidal_rows(sources, targets)
+    return rows._replace(sources=rows.intermediate, intermediate=rows.sources)
 
 
-def _lopsided_outcome(state, kraus):
-    outcome = protocols.apply_two_outcome(state, kraus)
-    return dataclasses.replace(outcome, success_prob=outcome.success_prob + 1e-6)
+def _lopsided(sources, targets):
+    """The Vidal analysis with its success probability off by 1e-6."""
+    rows = protocols.vidal_rows(sources, targets)
+    return rows._replace(success_prob=rows.success_prob + 1e-6)
 
 
 def _reversed_weights(dim, rng):
@@ -126,18 +127,19 @@ def _reversed_weights(dim, rng):
     return x, y, a[::-1]
 
 
-# property -> {sweep module attribute: broken replacement}; the batched checkers
-# reach the lattice through its row kernels, the planners and the oracle instance
-# by instance
+# property -> {sweep module attribute, or attribute of one of its classes: broken
+# replacement}; the batched checkers reach the lattice and the Vidal analysis through
+# their row kernels, and the dense oracle instance by instance
 TAMPERED = {
     "axioms": {"meet_rows": _first_member},
     "meet-monotones": {"meet_rows": _first_member},
     "hadamard-order": {"random_tied_rows": _reversed_weights},
     "equal-optimal-prob": {"meet_rows": _first_member},
-    "residual-order": {"plan_vidal": protocols.plan_thrifty, "plan_thrifty": protocols.plan_vidal},
+    "residual-order": {"_Pairs.vidal": property(sweep._Pairs.thrifty.func),
+                       "_Pairs.thrifty": property(sweep._Pairs.vidal.func)},
     "multi-state": {"meet_rows": _first_member},
-    "monotone-soundness": {"plan_vidal": lambda p, q: _reversed_first_step(protocols.plan_vidal(p, q))},
-    "oracle-match": {"apply_two_outcome": _lopsided_outcome},
+    "monotone-soundness": {"vidal_rows": _backwards},
+    "oracle-match": {"vidal_rows": _lopsided},
 }
 
 
@@ -150,7 +152,8 @@ def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch
     dim = 4
     assert sweep.run_sweep(dim, 100, seed=5, properties=[name]).total_failures == 0
     for attr, broken in TAMPERED[name].items():
-        monkeypatch.setattr(sweep, attr, broken)
+        owner, _, key = attr.rpartition(".")
+        monkeypatch.setattr(getattr(sweep, owner) if owner else sweep, key, broken)
     outcome = sweep.run_sweep(dim, 100, seed=5, properties=[name]).properties[0]
     assert outcome.failed >= 1, dataclasses.asdict(outcome)
 
@@ -186,6 +189,41 @@ def test_a_checker_error_is_the_one_a_loop_over_instances_raises_first(seed, fir
     assert errors == [errors[0]] * 3
 
 
+def _degenerate_above(threshold: float):
+    """The meet, except that a group whose first member's first entry exceeds
+    ``threshold`` gets that member: thrifty's core from it to itself cannot fail."""
+    meet_rows = sweep.meet_rows
+
+    def broken(stack):
+        meet = meet_rows(stack)
+        hit = stack[..., 0, 0] > threshold
+        meet[hit] = stack[hit, 0]
+        return meet
+    return broken
+
+
+@pytest.mark.parametrize("seed,first", [(0, "failure"), (1, "p_max")])
+def test_a_degenerate_branch_in_a_chunk_is_the_error_a_loop_over_instances_raises_first(
+        seed, first, monkeypatch):
+    """equal-optimal-prob is listed first, so a pass over the whole chunk meets its error
+    first; a loop over instances may meet thrifty's DegenerateBranch on an earlier one."""
+    monkeypatch.setattr(sweep, "p_max_rows", _raising(sweep.p_max_rows, "p_max", 0.6))
+    monkeypatch.setattr(sweep, "meet_rows", _degenerate_above(0.55))
+    names = ["equal-optimal-prob", "residual-order"]
+    with pytest.raises(ValueError, match="^p_max"):
+        sweep.run_sweep(4, 40, seed=seed, properties=names[:1])
+    with pytest.raises(DegenerateBranch, match="^failure branch has probability ~0$"):
+        sweep.run_sweep(4, 40, seed=seed, properties=names[1:])
+    errors = []
+    for chunk in (1, 3, sweep._CHUNK):  # one instance per chunk is the loop over instances
+        monkeypatch.setattr(sweep, "_CHUNK", chunk)
+        with pytest.raises((ValueError, DegenerateBranch)) as raised:
+            sweep.run_sweep(4, 40, seed=seed, properties=names)
+        errors.append((raised.type, str(raised.value)))
+    assert errors[0][1].startswith(first)
+    assert errors == [errors[0]] * 3
+
+
 # properties -> the next three draws of a Generator(PCG64(2026)) after it ran
 # run_sweep(5, 12, seed=generator, properties=...), as recorded before the checkers
 # shared one analysis per instance
@@ -203,7 +241,7 @@ def test_a_sweep_draws_from_the_callers_generator_as_before(properties):
     assert rng.integers(2**32, size=3).tolist() == NEXT_DRAWS[properties]
 
 
-ANALYSIS = ("below_rows", "meet_rows", "join_rows", "plan_vidal", "plan_greedy", "plan_thrifty")
+ANALYSIS = ("below_rows", "meet_rows", "join_rows", "vidal_rows")
 
 
 def _count_calls(monkeypatch) -> dict:
@@ -224,12 +262,17 @@ def _count_calls(monkeypatch) -> dict:
 
 
 def test_each_piece_of_a_pairs_analysis_is_built_at_most_once(monkeypatch):
-    calls = _count_calls(monkeypatch)
-    report = sweep.run_sweep(5, 40, seed=8)
-    assert report.total_failures == 0
-    for name in ("meet_rows", "join_rows", "plan_vidal", "plan_thrifty"):
-        assert calls[name], name
-        assert max(calls[name].values()) == 1, (name, calls[name].most_common(1))
+    for chunk, chunks in ((sweep._CHUNK, 1), (16, 3)):
+        monkeypatch.setattr(sweep, "_CHUNK", chunk)
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch)
+            report = sweep.run_sweep(5, 40, seed=8)
+        assert report.total_failures == 0
+        for name in ("meet_rows", "join_rows", "vidal_rows"):
+            assert calls[name], name
+            assert max(calls[name].values()) == 1, (name, calls[name].most_common(1))
+        # per chunk one Vidal analysis of the pairs whose plans measure, one of thrifty's core
+        assert sum(calls["vidal_rows"].values()) == 2 * chunks
 
 
 def test_a_sweep_of_hadamard_order_builds_no_analysis(monkeypatch):
