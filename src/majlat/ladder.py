@@ -6,6 +6,13 @@ ratio of their monotones.  The lower convex hull of the monotone curve
 (E_target(l), E_source(l)) from there on gives the ladder of ratios
 r_1 < ... < r_k with block boundaries l_1 > ... > l_k = 1, from which the
 deterministically reachable intermediate state is assembled block by block.
+
+The row kernels here (``monotone_rows``, ``p_max_rows``, ``ladder_rows`` and
+``r_rows``) take an ``(N, d)`` stack or a single ``(d,)`` row, as in
+``schmidt``.  ``ladder_rows`` and ``r_rows`` give a single row a short path
+that keeps its bookkeeping in Python scalars, without reshapes or repeats,
+and runs the same float operations on the same operands, so one row gets the
+bits it would get in a stack.
 """
 
 from __future__ import annotations
@@ -111,17 +118,25 @@ def ladder_rows(sources: np.ndarray, targets: np.ndarray) -> tuple[list, list]:
     monotones, their ratios, each row's first block boundary l_1 and its first
     ratio, which is its ``p_max``, are taken for all rows at once; then each row's
     further rungs come from one ``_lower_hull`` call, each rung ratio a quotient of
-    two differences of monotones in Python floats.
+    two differences of monotones in Python floats.  One row takes l_1 and its
+    first ratio as Python scalars, picked from the same ratios by the same rule.
     """
     _check_ranks(sources, targets)
     es, et = _suffix_sums(sources), _suffix_sums(targets)
-    width = es.shape[-1]
-    ratios = _ratios(es, et, get_epsilon()).reshape(-1, width)
-    tops = ratios[:, :-1].argmin(axis=1)  # l1 - 1, the smallest-index minimizer
-    firsts = np.minimum.reduce(ratios, axis=1)  # ratios[l1 - 1], capped at 1 by the last column
+    ratios = _ratios(es, et, get_epsilon())
+    if ratios.ndim == 1:
+        top = int(ratios[:-1].argmin())
+        rows = [(et.tolist(), es.tolist(), top, min(float(ratios[top]), float(ratios[-1])))]
+    else:
+        width = es.shape[-1]
+        ratios = ratios.reshape(-1, width)
+        tops = ratios[:, :-1].argmin(axis=1)  # l1 - 1, the smallest-index minimizer
+        # ratios[l1 - 1], capped at 1 by the last column
+        firsts = np.minimum(ratios[np.arange(len(tops)), tops], ratios[:, -1])
+        rows = zip(et.reshape(-1, width).tolist(), es.reshape(-1, width).tolist(),
+                   tops.tolist(), firsts.tolist())
     rows_ratios, rows_indices = [], []
-    for x, y, top, first in zip(et.reshape(-1, width).tolist(), es.reshape(-1, width).tolist(),
-                                tops.tolist(), firsts.tolist()):
+    for x, y, top, first in rows:
         blocks = [top - v for v in _lower_hull(x[top::-1], y[top::-1])]
         rows_ratios.append([first] + [(y[b] - y[a]) / (x[b] - x[a])
                                       for a, b in zip(blocks, blocks[1:])])
@@ -150,6 +165,13 @@ def ratio_ladder(source: ProbVec, target: ProbVec) -> RatioLadder:
 def r_rows(ratios, indices, shape: tuple[int, ...]) -> np.ndarray:
     """Block-constant, non-increasing vectors of the given shape, ``(N, d)`` or ``(d,)``
     for one, row i carrying ratios[i][j] on block j of indices[i]."""
+    if len(shape) == 1:  # one row: its blocks filled in place
+        rv = np.empty(shape)
+        hi = shape[0] + 1  # l_0, the exclusive 1-indexed end of block 1
+        for r, lo in zip(ratios[0], indices[0]):
+            rv[lo - 1 : hi - 1] = r
+            hi = lo
+        return rv
     values, widths = [], []
     for row_ratios, row_indices in zip(ratios, indices):
         bounds = [*row_indices[::-1], shape[-1] + 1]  # l_k = 1, ..., l_1, l_0

@@ -21,7 +21,8 @@ import numpy as np
 
 from .config import get_epsilon
 from .errors import NotNormalized
-from .protocols import ConversionPlan, KrausDiagonals, MultiStatePlan, StepKind, validate_plan
+from .protocols import (ConversionPlan, KrausDiagonals, MultiStatePlan, StepKind,
+                        _kraus_shape_error, validate_plan)
 from .schmidt import ProbVec, _ArrayValue
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -126,10 +127,12 @@ def _branch_spectrum(state: BipartiteState, diag: np.ndarray, prob: float) -> Pr
 def branch_probabilities(state: BipartiteState, kraus: KrausDiagonals) -> tuple[float, float]:
     """Exact probabilities of the two measurement outcomes of a normalized state.
 
-    Raises ``NotNormalized`` when the state's squared norm is off 1 by more than epsilon.
+    Raises ``ValueError`` unless both Kraus diagonals are 1-d of the state's dimension,
+    and ``NotNormalized`` when the state's squared norm is off 1 by more than epsilon.
     """
-    if state.dim != kraus.dim:
-        raise ValueError(f"state dimension {state.dim} != Kraus dimension {kraus.dim}")
+    shape, m, n = (state.dim,), kraus.m_diag.shape, kraus.n_diag.shape
+    if not shape == m == n:
+        raise _kraus_shape_error(shape, m, n)
     # a state far from unit scale is far from normalized, and its squared norm may overflow
     if state.exponent or not abs(state.norm() ** 2 - 1.0) <= get_epsilon():
         raise NotNormalized("state is not normalized: its squared norm is off 1 by more "

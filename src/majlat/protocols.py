@@ -13,9 +13,13 @@ residual is always majorized by the greedy one.
 Every protocol is one Vidal measurement with a deterministic detour, so one
 analysis serves them all: ``vidal_rows`` takes the ladder, intermediate
 state, Kraus diagonals, success probability and branches of each row of two
-``(N, d)`` stacks.  The planners call it on one pair, the N = 1 case; greedy
+``(N, d)`` stacks.  The planners call it on one pair of ``(d,)`` rows; greedy
 ends in Vidal's measurement, and thrifty's core is the Vidal analysis from
-the source to the meet.  The sweep calls it on whole chunks of pairs.
+the source to the meet.  The sweep calls it on whole chunks of pairs.  Its
+kernels (``ladder_rows``, ``r_rows`` and the Born rule ``_branch_rows``) give
+a single row a short path that keeps probabilities, flags and block
+boundaries in Python scalars, with the same float operations on the same
+operands, so a planner gets the bits of its pair's row in a chunk.
 
 A multi-state plan, for an undisclosed source or target out of several, is
 one core plan plus a deterministic head per source or tail per target.  It
@@ -56,10 +60,11 @@ class KrausDiagonals(_ArrayValue):
     _arrays = ("m_diag", "n_diag")
 
     def __post_init__(self):
-        for name in self._arrays:
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        m, n = np.array(self.m_diag, dtype=np.float64), np.array(self.n_diag, dtype=np.float64)
+        m.setflags(write=False)
+        n.setflags(write=False)
+        object.__setattr__(self, "m_diag", m)
+        object.__setattr__(self, "n_diag", n)
 
     @property
     def dim(self) -> int:
@@ -179,24 +184,47 @@ def kraus_diagonals(ladder: RatioLadder) -> KrausDiagonals:
     return KrausDiagonals(*_kraus_rows(ladder.ratios[0], r_vector(ladder)))
 
 
+def _kraus_shape_error(state: tuple, m: tuple, n: tuple) -> ValueError:
+    """The error for Kraus diagonals of shapes ``m`` and ``n`` that differ from each
+    other or from the shape ``state`` of the spectra they act on; it names the two
+    that differ, by their length where they are 1-d."""
+    def dim(shape):
+        return shape[0] if len(shape) == 1 else shape
+
+    if m != n:
+        return ValueError(f"Kraus m_diag dimension {dim(m)} != n_diag dimension {dim(n)}")
+    return ValueError(f"state dimension {dim(state)} != Kraus dimension {dim(m)}")
+
+
 def _branch_rows(lam: np.ndarray, m_sq: np.ndarray, n_sq: np.ndarray):
     """Born rule of a diagonal two-outcome measurement on each row of spectra ``lam``.
 
     ``m_sq`` and ``n_sq`` are the squared Kraus diagonals, rows of the shape of
-    ``lam``.  Returns the success probabilities ``m_sq . lam``, row by row, and
-    per branch its spectra as rows sorted in non-increasing order, with a mask
-    of the rows where the branch has probability > epsilon; elsewhere the
-    branch has no spectrum, and its rows are not one.
+    ``lam`` (else ``ValueError``).  Returns the success probabilities
+    ``m_sq . lam``, row by row, and per branch its spectra as rows sorted in
+    non-increasing order, with a mask of the rows where the branch has
+    probability > epsilon; elsewhere the branch has no spectrum, and its rows
+    are not one.  For one ``(d,)`` row the probability is a float and each mask
+    a bool.
     """
-    if lam.shape[-1] != m_sq.shape[-1]:
-        raise ValueError(f"state dimension {lam.shape[-1]} != Kraus dimension {m_sq.shape[-1]}")
+    if not lam.shape == m_sq.shape == n_sq.shape:
+        raise _kraus_shape_error(lam.shape, m_sq.shape, n_sq.shape)
     p = np.vecdot(m_sq, lam)  # row by row, the bits of ``m_sq[i] @ lam[i]``
+    one = lam.ndim == 1
+    if one:
+        p = float(p)
     eps = get_epsilon()
 
-    def branch(op_sq: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kept = ~(prob <= eps)  # NaN keeps its branch, and its NaN spectrum fails every check
+    def branch(op_sq: np.ndarray, prob):
+        # NaN keeps its branch, and its NaN spectrum fails every check
         rows = op_sq * lam
-        np.divide(rows, prob[..., None], out=rows, where=kept[..., None])
+        if one:
+            kept = not prob <= eps
+            if kept:
+                rows /= prob
+        else:
+            kept = ~(prob <= eps)
+            np.divide(rows, prob[..., None], out=rows, where=kept[..., None])
         rows.sort(axis=-1)  # in place, as np.sort sorts its copy
         return rows[..., ::-1], kept
 
@@ -223,7 +251,8 @@ class VidalRows(NamedTuple):
     r * target, the Kraus diagonals, the success probability of the measurement
     on the intermediate state, and its success and failure branches.  A success
     branch of probability <= epsilon has no spectrum (``has_success``); a
-    failure branch always has one.
+    failure branch always has one.  The analysis of one conversion of ``(d,)``
+    rows has ``(d,)`` arrays, a float ``success_prob`` and a bool ``has_success``.
     """
 
     sources: np.ndarray
@@ -258,7 +287,7 @@ def vidal_rows(sources: np.ndarray, targets: np.ndarray) -> VidalRows:
     m_diag, n_diag = _kraus_rows(rv[..., -1:], rv)  # the last entry lies on the first block
     p, (success, has_success), (failure, has_failure) = _branch_rows(
         chi, np.square(m_diag), np.square(n_diag))
-    if not has_failure.all():
+    if has_failure is not True and not np.all(has_failure):  # one row's flag is a bool
         raise DegenerateBranch(_NO_FAILURE)
     return VidalRows(sources, targets, ratios, indices, chi, m_diag, n_diag, p, success,
                      has_success, failure)
@@ -446,7 +475,7 @@ def validate_plan(plan: ConversionPlan | MultiStatePlan) -> None:
        b. a deterministic step is not a majorization move;
        c. a probabilistic step lacks Kraus data or a probability, claims a
           probability outside (0, 1], has Kraus diagonals of unequal lengths
-          or that violate completeness, or of a length other than its input's
+          or that violate completeness, or of a shape other than its input's
           (empty ones included), or claims a
           success probability, success state or failure state other than
           what its Kraus operators give (checked in that order).

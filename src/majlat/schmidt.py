@@ -152,7 +152,11 @@ def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:
 def stack_rows(vs, width: int | None = None) -> np.ndarray:
     """``(k, width)`` entries of k vectors, one fresh row each, zero-padded to
     ``width`` (by default the largest dimension)."""
-    rows = np.zeros((len(vs), max(v.dim for v in vs) if width is None else width))
+    dims = [v.dim for v in vs]
+    width = max(dims) if width is None else width
+    if dims and dims.count(width) == len(dims):  # nothing to pad: one copy of all rows
+        return np.array([v.as_array() for v in vs])
+    rows = np.zeros((len(dims), width))
     for i, v in enumerate(vs):
         rows[i, : v.dim] = v.as_array()
     return rows
@@ -160,7 +164,10 @@ def stack_rows(vs, width: int | None = None) -> np.ndarray:
 
 # Row kernels: each takes entries along the last axis, so one (d,) array or an
 # (N, d) stack of N rows, and is the one copy of its arithmetic; the functions
-# on vectors call it on their entries.
+# on vectors call it on their entries.  A kernel may keep the bookkeeping of a
+# single (d,) row in Python scalars, where numpy's per-call cost is most of the
+# time, but it runs the same float operations on the same operands, so one row
+# gets the bits of that row in a stack.
 
 def rank_rows(rows: np.ndarray) -> list[int]:
     """Number of entries above epsilon, one int per row, rows in order."""
@@ -182,9 +189,12 @@ def min_margin_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def below_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether a is majorized by b, and whether b by a, within epsilon, row by row."""
+    """Whether a is majorized by b, and whether b by a, within epsilon, row by row
+    (two bools for one row)."""
     eps = get_epsilon()
     m = margin_rows(a, b)
+    if m.ndim == 1:  # NaN fails both tests, and d = 1 (no margin) passes both, as below
+        return bool(m.min(initial=np.inf) >= -eps), bool(m.max(initial=-np.inf) <= eps)
     return np.logical_and.reduce(m >= -eps, axis=-1), np.logical_and.reduce(m <= eps, axis=-1)
 
 

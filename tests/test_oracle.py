@@ -173,6 +173,15 @@ class TestBranchProbabilities:
         with pytest.raises(ValueError, match="state dimension 4 != Kraus dimension 3"):
             branch_probabilities(embed(p.padded(4)), kraus)
 
+    @pytest.mark.parametrize("m_diag, n_diag, message", [
+        ([1.0, 0.8, 0.5], [0.0], "Kraus m_diag dimension 3 != n_diag dimension 1"),
+        ([[1.0, 0.8, 0.5]], [[0.0, 0.6, 0.75 ** 0.5]], r"state dimension 3 != Kraus dimension \(1, 3\)"),
+    ], ids=["unequal-lengths", "2-d"])
+    def test_rejects_kraus_diagonals_that_do_not_fit_the_state(self, m_diag, n_diag, message):
+        with pytest.raises(ValueError, match=message):
+            branch_probabilities(embed(canonicalize([0.5, 0.3, 0.2])),
+                                 KrausDiagonals(m_diag, n_diag))
+
     @pytest.mark.parametrize("scale", [2.0, 0.5, 1e-200, 1e160])
     def test_rejects_a_state_that_is_not_normalized(self, worked_pair, scale):
         p, q = worked_pair

@@ -101,7 +101,20 @@ class TestKrausDiagonals:
         assert a != ((1.0, 0.6), (0.0, 0.8))
 
 
+_UNEVEN_KRAUS = {  # diagonals that fit no spectrum of dimension 3
+    "unequal-lengths": (KrausDiagonals([1.0, 0.8, 0.5], [0.0]),
+                        "Kraus m_diag dimension 3 != n_diag dimension 1"),
+    "2-d": (KrausDiagonals([[1.0, 0.8, 0.5]], [[0.0, 0.6, 0.75 ** 0.5]]),
+            r"state dimension 3 != Kraus dimension \(1, 3\)"),
+}
+
+
 class TestApplyTwoOutcome:
+    @pytest.mark.parametrize("kraus, message", _UNEVEN_KRAUS.values(), ids=_UNEVEN_KRAUS)
+    def test_rejects_kraus_diagonals_that_do_not_fit_the_state(self, kraus, message):
+        with pytest.raises(ValueError, match=message):
+            apply_two_outcome(canonicalize([0.5, 0.3, 0.2]), kraus)
+
     def test_success_branch_hits_target(self, worked_pair):
         p, q = worked_pair
         kraus = kraus_diagonals(ratio_ladder(p, q))
@@ -741,6 +754,20 @@ def test_validate_plan_rejects_a_failure_state_of_a_branch_that_never_happens(wo
     validate_plan(dataclasses.replace(plan, steps=(dataclasses.replace(step, failure_state=None),)))
     with pytest.raises(ValueError, match="probability ~0"):
         validate_plan(plan)
+
+
+def test_validate_plan_checks_kraus_lengths_before_their_shapes(worked_pair):
+    """A cut m_diag is a completeness fault, as the CLI reports it; equal-length
+    diagonals of another shape are the Born rule's shape fault."""
+    plan = plan_vidal(*worked_pair)
+    move, step = plan.steps
+    m, n = step.kraus.m_diag, step.kraus.n_diag
+    for kraus, message in ((KrausDiagonals(m[:2], n), "^Kraus diagonals violate completeness$"),
+                           (KrausDiagonals(m[None], n[None]),
+                            r"^state dimension 3 != Kraus dimension \(1, 3\)$")):
+        with pytest.raises(ValueError, match=message):
+            validate_plan(dataclasses.replace(plan, steps=(move, dataclasses.replace(
+                step, kraus=kraus))))
 
 
 @pytest.mark.parametrize("change", [dict(kraus=None), dict(success_prob=None)])
