@@ -21,6 +21,11 @@ a single row a short path that keeps probabilities, flags and block
 boundaries in Python scalars, with the same float operations on the same
 operands, so a planner gets the bits of its pair's row in a chunk.
 
+Each protocol's steps are stated once, by ``vidal_steps``, ``greedy_steps``
+and ``descent_steps`` (a core down to the meet, then a move per target), on
+one pair's ``ProbVec`` s or a chunk's rows: the planners turn a pair's steps
+into ``PlanStep`` s, and the sweep hands a chunk's to ``monotone_slack_rows``.
+
 A multi-state plan, for an undisclosed source or target out of several, is
 one core plan plus a deterministic head per source or tail per target.  It
 is valid when each of its paths, one head or tail plus the core, is valid.
@@ -65,10 +70,6 @@ class KrausDiagonals(_ArrayValue):
         n.setflags(write=False)
         object.__setattr__(self, "m_diag", m)
         object.__setattr__(self, "n_diag", n)
-
-    @property
-    def dim(self) -> int:
-        return self.m_diag.size
 
 
 class StepKind(enum.Enum):
@@ -149,18 +150,12 @@ class MultiStatePlan:
 class TwoOutcomeResult:
     """Outcome of a diagonal two-outcome measurement on a spectrum.
 
-    Branch states are None when the branch has (near-)zero probability; use
-    ``require_failure`` to get a hard error instead.
+    Branch states are None when the branch has (near-)zero probability.
     """
 
     success_prob: float
     success_state: ProbVec | None
     failure_state: ProbVec | None
-
-    def require_failure(self) -> ProbVec:
-        if self.failure_state is None:
-            raise DegenerateBranch(_NO_FAILURE)
-        return self.failure_state
 
 
 _NO_FAILURE = "failure branch has probability ~0"
@@ -293,35 +288,75 @@ def vidal_rows(sources: np.ndarray, targets: np.ndarray) -> VidalRows:
                      has_success, failure)
 
 
-def _vidal(source: ProbVec, target: ProbVec, order: MajOrder,
-           source_name: str = "source", target_name: str = "target") -> ConversionPlan:
-    """The Vidal plan of a pair of known order: ``vidal_rows`` on one row, or only the
-    ladder where the source is majorized by the target."""
+def vidal_steps(source, target, analysis: VidalRows | None = None, intermediate=None,
+                source_name: str = "source", target_name: str = "target") -> list:
+    """Vidal's steps from ``source`` to ``target``, one pair's ``ProbVec`` s or a chunk's rows.
+
+    A step is (from-name, from-state, to-name, to-state, the Vidal analysis of its
+    measurement or None).  Without an ``analysis``, where the source is majorized by
+    the target, there is one move; else the move to the ``intermediate`` state (by
+    default the analysis's) and the measurement, whose failure branch is the ``residual``.
+    """
+    if analysis is None:
+        return [(source_name, source, target_name, target, None)]
+    if intermediate is None:
+        intermediate = analysis.intermediate
+    return [(source_name, source, "intermediate", intermediate, None),
+            ("intermediate", intermediate, target_name, target, analysis)]
+
+
+def greedy_steps(vidal: list, ocp) -> list:
+    """Greedy's steps: Vidal's ``vidal`` steps that measure, with the move to the
+    intermediate state detoured through the common product ``ocp``, the join."""
+    (source_name, source, _, chi, _), measurement = vidal
+    return [(source_name, source, "common_product", ocp, None),
+            ("common_product", ocp, "intermediate", chi, None), measurement]
+
+
+def descent_steps(core: list, targets, names) -> list:
+    """The ``core`` steps down to the common resource, the meet, then one move from the
+    core's last state to each of ``targets``, named by ``names``."""
+    ocr = core[-1][3]
+    return core + [("common_resource", ocr, name, t, None) for name, t in zip(names, targets)]
+
+
+def _plan_steps(steps) -> tuple[PlanStep, ...]:
+    """The ``PlanStep`` s of one pair's steps; a measurement carries its analysis's Kraus
+    diagonals, success probability and failure branch."""
+    out = []
+    for from_name, from_state, to_name, to_state, rows in steps:
+        if rows is None:
+            out.append(PlanStep(StepKind.DETERMINISTIC, from_name, from_state, to_name, to_state))
+        else:
+            out.append(PlanStep(StepKind.PROBABILISTIC, from_name, from_state, to_name, to_state,
+                                KrausDiagonals(rows.m_diag, rows.n_diag),
+                                float(rows.success_prob), "residual", ProbVec(rows.failure)))
+    return tuple(out)
+
+
+def _plan(protocol: str, ladder: RatioLadder, steps) -> ConversionPlan:
+    return ConversionPlan(protocol, _plan_steps(steps), ladder)
+
+
+def _vidal(source: ProbVec, target: ProbVec, order: MajOrder, source_name: str = "source",
+           target_name: str = "target") -> tuple[RatioLadder, list]:
+    """The ladder and Vidal's steps of a pair of known order: ``vidal_rows`` on one row,
+    or only the ladder where the source is majorized by the target."""
     if order in (MajOrder.PRECEDES, MajOrder.EQUIVALENT):
         ladder = ratio_ladder(source, target)
-        step = PlanStep(StepKind.DETERMINISTIC, source_name, ladder.source, target_name,
-                        ladder.target)
-        return ConversionPlan("vidal", (step,), ladder)
+        return ladder, vidal_steps(ladder.source, ladder.target, source_name=source_name,
+                                   target_name=target_name)
     src, tgt = _padded(source, target)
     rows = vidal_rows(src.as_array(), tgt.as_array())
     ladder = RatioLadder(src, tgt, tuple(rows.ratios[0]), tuple(rows.indices[0]))
-    chi = ProbVec(rows.intermediate)
-    steps = (
-        PlanStep(StepKind.DETERMINISTIC, source_name, src, "intermediate", chi),
-        PlanStep(
-            StepKind.PROBABILISTIC, "intermediate", chi, target_name, tgt,
-            kraus=KrausDiagonals(rows.m_diag, rows.n_diag),
-            success_prob=float(rows.success_prob),
-            failure_name="residual", failure_state=ProbVec(rows.failure),
-        ),
-    )
-    return ConversionPlan("vidal", steps, ladder)
+    return ladder, vidal_steps(src, tgt, rows, ProbVec(rows.intermediate), source_name,
+                               target_name)
 
 
 def plan_vidal(source: ProbVec, target: ProbVec) -> ConversionPlan:
     """Optimal two-step plan: deterministic move to the intermediate state,
     then a two-outcome measurement that yields the target on success."""
-    return _vidal(source, target, compare(source, target))
+    return _plan("vidal", *_vidal(source, target, compare(source, target)))
 
 
 def plan_greedy(source: ProbVec, target: ProbVec) -> ConversionPlan:
@@ -331,25 +366,18 @@ def plan_greedy(source: ProbVec, target: ProbVec) -> ConversionPlan:
     the plain Vidal plan (tagged as such).
     """
     order = compare(source, target)
-    base = _vidal(source, target, order)
+    ladder, steps = _vidal(source, target, order)
     if order is not MajOrder.INCOMPARABLE:
-        return base
-    ocp = join(source, target)
-    src, chi = base.steps[0].from_state, base.steps[0].to_state
-    steps = (
-        PlanStep(StepKind.DETERMINISTIC, "source", src, "common_product", ocp),
-        PlanStep(StepKind.DETERMINISTIC, "common_product", ocp, "intermediate", chi),
-        base.steps[1],
-    )
-    return ConversionPlan("greedy", steps, base.ladder)
+        return _plan("vidal", ladder, steps)
+    return _plan("greedy", ladder, greedy_steps(steps, join(source, target)))
 
 
-def _descent(source: ProbVec, ocr: ProbVec, targets, names) -> tuple[ConversionPlan, tuple]:
-    """The Vidal core from ``source`` to the meet ``ocr``, and a deterministic tail per
-    target; a meet is padded to its inputs' largest dimension, as the ladder pads."""
-    core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
-    return core, tuple([PlanStep(StepKind.DETERMINISTIC, "common_resource", ocr, name,
-                                 t.padded(ocr.dim)) for name, t in zip(names, targets)])
+def _descent(source: ProbVec, ocr: ProbVec, targets, names) -> tuple[RatioLadder, list]:
+    """The ladder of the Vidal core from ``source`` to the meet ``ocr``, and the steps of
+    the descent through it to each target; a meet is padded to its inputs' largest
+    dimension, as the ladder pads."""
+    ladder, core = _vidal(source, ocr, compare(source, ocr), target_name="common_resource")
+    return ladder, descent_steps(core, [t.padded(ocr.dim) for t in targets], names)
 
 
 def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
@@ -359,9 +387,8 @@ def plan_thrifty(source: ProbVec, target: ProbVec) -> ConversionPlan:
     _check_ranks(source.as_array(), target.as_array())
     order = compare(source, target)
     if order is not MajOrder.INCOMPARABLE:
-        return _vidal(source, target, order)
-    core, tails = _descent(source, meet(source, target), (target,), ("target",))
-    return ConversionPlan("thrifty", core.steps + tails, core.ladder)
+        return _plan("vidal", *_vidal(source, target, order))
+    return _plan("thrifty", *_descent(source, meet(source, target), (target,), ("target",)))
 
 
 def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
@@ -379,9 +406,11 @@ def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
     for i, need in enumerate(map(effective_rank, targets)):
         if need > has:
             raise _rank_deficit(need, has, target=f"target #{i}")
-    core, tails = _descent(source, meet_many([source, *targets]), targets,
-                           [f"target_{i}" for i in range(len(targets))])
-    return MultiStatePlan("multi-target", (), core, tails)
+    ladder, steps = _descent(source, meet_many([source, *targets]), targets,
+                             [f"target_{i}" for i in range(len(targets))])
+    k = len(targets)
+    return MultiStatePlan("multi-target", (), _plan("vidal", ladder, steps[:-k]),
+                          _plan_steps(steps[-k:]))
 
 
 def plan_multi_source(sources, target: ProbVec) -> MultiStatePlan:
@@ -399,14 +428,11 @@ def plan_multi_source(sources, target: ProbVec) -> MultiStatePlan:
         if need > has:
             raise _rank_deficit(need, has, source=f"source #{i}")
     ocp = join_many([*sources, target])
-    core = _vidal(ocp, target, compare(ocp, target), source_name="common_product")
-    d = core.steps[0].from_state.dim
-    heads = tuple(
-        PlanStep(StepKind.DETERMINISTIC, f"source_{i}", s.padded(d),
-                 "common_product", ocp.padded(d))
-        for i, s in enumerate(sources)
-    )
-    return MultiStatePlan("multi-source", heads, core, ())
+    ladder, core = _vidal(ocp, target, compare(ocp, target), source_name="common_product")
+    top = core[0][1]  # the common product, padded as the ladder pads
+    heads = [(f"source_{i}", s.padded(top.dim), "common_product", top, None)
+             for i, s in enumerate(sources)]
+    return MultiStatePlan("multi-source", _plan_steps(heads), _plan("vidal", ladder, core), ())
 
 
 def step_outcomes(step: PlanStep) -> list[tuple[float, ProbVec]]:
@@ -419,39 +445,22 @@ def step_outcomes(step: PlanStep) -> list[tuple[float, ProbVec]]:
     return outs
 
 
-def monotone_slack_rows(sources: np.ndarray, outcomes) -> np.ndarray:
+def monotone_slack_rows(step) -> np.ndarray:
     """Smallest slack of E_l(in) - sum_o p_o E_l(out_o) over all l, for each row of a
-    stack of steps alike in dimension and number of outcomes.
+    step of ``(N, d)`` rows, as the step builders return it.
 
-    ``sources`` are the steps' ``(N, d)`` input rows; ``outcomes`` holds, per
-    outcome o, the ``(N,)`` probabilities p_o and the ``(N, d)`` output rows.
-    Non-negative (within tolerance) for any physically allowed step: the
-    suffix-sum monotones cannot increase on average.
+    A move has one outcome, its to-state; a measurement has its to-state with its
+    success probability p and its failure branch with 1 - p.  Non-negative (within
+    tolerance) for any physically allowed step: the suffix-sum monotones cannot
+    increase on average.
     """
-    e_avg = sum(probs[:, None] * monotone_rows(rows) for probs, rows in outcomes)
-    return (monotone_rows(sources) - e_avg).min(axis=-1)
-
-
-def step_monotone_slacks(steps) -> list[float]:
-    """``monotone_slack_rows`` of each step.
-
-    The states of a step are padded to its largest dimension, and steps alike
-    in dimension and number of outcomes are evaluated together, as one stack.
-    """
-    groups: dict[tuple[int, int], list[int]] = {}
-    outcomes = [step_outcomes(step) for step in steps]
-    for i, (step, outs) in enumerate(zip(steps, outcomes)):
-        d = max([step.from_state.dim] + [out.dim for _, out in outs])
-        groups.setdefault((d, len(outs)), []).append(i)
-    slacks = [0.0] * len(steps)
-    for (d, n_outs), members in groups.items():
-        group = monotone_slack_rows(
-            stack_rows([steps[i].from_state for i in members], d),
-            [(np.array([outcomes[i][o][0] for i in members]),
-              stack_rows([outcomes[i][o][1] for i in members], d)) for o in range(n_outs)])
-        for i, slack in zip(members, group.tolist()):
-            slacks[i] = slack
-    return slacks
+    _, source, _, target, analysis = step
+    outcomes = [(1.0, target)]
+    if analysis is not None:
+        p = analysis.success_prob[:, None]
+        outcomes = [(p, target), (1.0 - p, analysis.failure)]
+    e_avg = sum(prob * monotone_rows(rows) for prob, rows in outcomes)
+    return (monotone_rows(source) - e_avg).min(axis=-1)
 
 
 def validate_plan(plan: ConversionPlan | MultiStatePlan) -> None:

@@ -149,12 +149,12 @@ def pad_pair(p: ProbVec, q: ProbVec) -> tuple[np.ndarray, np.ndarray]:
     return p.padded(d).as_array(), q.padded(d).as_array()
 
 
-def stack_rows(vs, width: int | None = None) -> np.ndarray:
-    """``(k, width)`` entries of k vectors, one fresh row each, zero-padded to
-    ``width`` (by default the largest dimension)."""
+def stack_rows(vs) -> np.ndarray:
+    """``(k, width)`` entries of k vectors, one fresh row each, zero-padded to the
+    largest dimension, ``width``."""
     dims = [v.dim for v in vs]
-    width = max(dims) if width is None else width
-    if dims and dims.count(width) == len(dims):  # nothing to pad: one copy of all rows
+    width = max(dims)
+    if dims.count(width) == len(dims):  # nothing to pad: one copy of all rows
         return np.array([v.as_array() for v in vs])
     rows = np.zeros((len(dims), width))
     for i, v in enumerate(vs):

@@ -24,8 +24,9 @@ source).  It works through the instances in chunks of at most
    checkers share the chunk's analysis (order, meet, join, and the Vidal
    analysis ``protocols.vidal_rows`` of the Vidal, greedy and thrifty
    conversions), each piece built at most once and only when a checker asks
-   for it.  No plan object is built; only the dense oracle works instance by
-   instance.
+   for it.  The steps of those plans come from the step builders of
+   ``protocols``, the ones the planners use.  No plan object is built; only
+   the dense oracle works instance by instance.
 
 A report does not depend on the chunk size.  When a checker raises, the chunk
 is evaluated again one instance at a time, so that the error is the one a
@@ -43,7 +44,8 @@ from .config import get_epsilon
 from .lattice import join_rows, meet_rows
 from .ladder import monotone_rows, p_max_rows
 from .oracle import _branch_spectrum, _reported_seed, branch_probabilities, embed
-from .protocols import KrausDiagonals, VidalRows, monotone_slack_rows, vidal_rows
+from .protocols import (KrausDiagonals, VidalRows, descent_steps, greedy_steps,
+                        monotone_slack_rows, vidal_rows, vidal_steps)
 from .sampling import (
     random_prob_rows,
     random_tied_rows,
@@ -266,42 +268,17 @@ def _check_multi_state(instances) -> list:
         "check": "multi-state", "deviation": -slack, **_desc(source[i], target[i])})
 
 
-def _move(sources, targets) -> tuple:
-    """A deterministic step on each row, from ``sources`` to ``targets``, as
-    ``monotone_slack_rows`` takes it."""
-    return sources, [(np.ones(len(sources)), targets)]
-
-
-def _vidal_steps(v: VidalRows) -> list:
-    """The steps of each row's Vidal plan: the move to the intermediate state, then
-    the measurement with its success and failure branches."""
-    p = v.success_prob
-    return [_move(v.sources, v.intermediate),
-            (v.intermediate, [(p, v.targets), (1.0 - p, v.failure)])]
-
-
-def _greedy_steps(v: VidalRows, joins) -> list:
-    """The steps of each row's greedy plan: Vidal's, after a detour through the join."""
-    return [_move(v.sources, joins), _move(joins, v.intermediate), _vidal_steps(v)[1]]
-
-
-def _thrifty_steps(core: VidalRows, targets) -> list:
-    """The steps of each row's thrifty plan: its core's, the Vidal plan down to the
-    meet, then the move from the meet to the target."""
-    return _vidal_steps(core) + [_move(core.targets, targets)]
-
-
 def _check_monotone_soundness(P, Q, plans) -> list:
     """Average monotones never increase along the steps of each instance's plans.
 
     ``plans`` holds, per plan, the positions of the pairs ``P``, ``Q`` it belongs to
-    and its steps on those rows, as the ``_vidal_steps`` kind return them.
+    and its steps on those rows, as the step builders of ``protocols`` return them.
     """
     columns = []
     for at, steps in plans:
-        for sources, outcomes in steps:
+        for step in steps:
             column = np.full(len(P), np.inf)  # inf leaves the row's min alone
-            column[at] = monotone_slack_rows(sources, outcomes)
+            column[at] = monotone_slack_rows(step)
             columns.append(column)
     slack = _first_min(*columns)
     return _results(np.array(slack) >= MARGIN_FLOOR, slack, lambda i, _: {
@@ -404,11 +381,15 @@ def _monotone_soundness(a: _Pairs, rows, _):
     at, conversions = np.searchsorted(rows, measured), np.searchsorted(rows, a.conversions)
     moves = np.flatnonzero(a.below[0][rows])
     P, Q = a.P[rows], a.Q[rows]
+    vidal, core = a.vidal, a.thrifty
     return _check_monotone_soundness(P, Q, [
-        (at, _vidal_steps(analysis)),
-        (moves, [_move(P[moves], Q[moves])]),
-        (conversions, _greedy_steps(a.vidal, a.join[a.conversions])),
-        (conversions, _thrifty_steps(a.thrifty, a.Q[a.conversions])),
+        (at, vidal_steps(analysis.sources, analysis.targets, analysis)),
+        (moves, vidal_steps(P[moves], Q[moves])),
+        (conversions, greedy_steps(vidal_steps(vidal.sources, vidal.targets, vidal),
+                                   a.join[a.conversions])),
+        (conversions, descent_steps(
+            vidal_steps(core.sources, core.targets, core, target_name="common_resource"),
+            [a.Q[a.conversions]], ["target"])),
     ])
 
 

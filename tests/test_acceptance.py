@@ -24,7 +24,8 @@ from majlat.cli import main as cli_main
 from majlat.lattice import join_many, meet, meet_rows
 from majlat.ladder import p_max, ratio_ladder
 from majlat.oracle import run_plan
-from majlat.protocols import kraus_diagonals, plan_thrifty, plan_vidal, vidal_rows
+from majlat.protocols import (descent_steps, kraus_diagonals, plan_thrifty, plan_vidal, vidal_rows,
+                             vidal_steps)
 from majlat.sampling import (
     random_incomparable_pairs,
     random_prob_rows,
@@ -41,9 +42,7 @@ from majlat.sweep import (
     _check_multi_state,
     _check_oracle_match,
     _check_residual_order,
-    _thrifty_steps,
     _tied_rows,
-    _vidal_steps,
     run_sweep,
 )
 
@@ -93,7 +92,8 @@ def protocol_scan():
 
     The Vidal analysis of each pair and of its source to its meet (thrifty's
     core) is built once and handed to both checkers, a thousand pairs at a time;
-    step soundness covers the steps of the Vidal and the thrifty plan.
+    step soundness covers the steps of the Vidal and the thrifty plan, as the
+    step builders of ``protocols`` state them for the planners.
     """
     if "scan" not in _cache:
         thm2 = PropertyOutcome("residual-order")
@@ -105,8 +105,10 @@ def protocol_scan():
                 for result in _check_residual_order(vidal, thrifty):
                     thm2.record(*result)
                 every = np.arange(len(P))
+                core = vidal_steps(P, M, thrifty, target_name="common_resource")
                 for result in _check_monotone_soundness(P, Q, [
-                        (every, _vidal_steps(vidal)), (every, _thrifty_steps(thrifty, Q))]):
+                        (every, vidal_steps(P, Q, vidal)),
+                        (every, descent_steps(core, [Q], ["target"]))]):
                     steps.record(*result)
         _cache["scan"] = (thm2, steps)
     return _cache["scan"]

@@ -35,7 +35,6 @@ def _class_members(tree: ast.Module):
 # Public names that nothing in the package calls, kept for library users; README's
 # "Kept for library users" list names the same ones.
 KEEP = {
-    "TwoOutcomeResult.require_failure",
     "apply_two_outcome",
     "intermediate_state",
     "kraus_diagonals",
@@ -43,7 +42,6 @@ KEEP = {
     "majorizes_margin",
     "monotones",
     "partial_sum_margins",
-    "step_monotone_slacks",
     "uniform",
 }
 README = PACKAGE.parent.parent / "README.md"

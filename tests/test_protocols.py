@@ -11,18 +11,22 @@ import hypothesis.strategies as st
 
 from majlat import protocols
 from majlat.config import get_epsilon
-from majlat.errors import DegenerateBranch, RankDeficit
+from majlat.errors import RankDeficit
 from majlat.lattice import join, join_rows, meet, meet_many, meet_rows
 from majlat.oracle import run_plan
 from majlat.ladder import ladder_rows, p_max, ratio_ladder
 from majlat.protocols import (
     ConversionPlan,
     KrausDiagonals,
+    MultiStatePlan,
     PlanStep,
     StepKind,
     apply_two_outcome,
+    descent_steps,
+    greedy_steps,
     json_numbers,
     kraus_diagonals,
+    monotone_slack_rows,
     multi_plan_to_dict,
     plan_from_dict,
     plan_greedy,
@@ -32,10 +36,10 @@ from majlat.protocols import (
     plan_to_dict,
     plan_to_dot,
     plan_vidal,
-    step_monotone_slacks,
     step_outcomes,
     validate_plan,
     vidal_rows,
+    vidal_steps,
 )
 from majlat.sampling import (random_incomparable_pairs, random_prob_rows, random_prob_vecs,
                              random_tied_rows)
@@ -48,6 +52,7 @@ from majlat.schmidt import (
     effective_rank,
     majorizes_margin,
     pad_pair,
+    rank_rows,
     uniform,
 )
 
@@ -140,8 +145,6 @@ class TestApplyTwoOutcome:
         assert result.success_prob == pytest.approx(1.0, abs=1e-15)
         assert result.success_state == p
         assert result.failure_state is None
-        with pytest.raises(DegenerateBranch):
-            result.require_failure()
 
 
 class TestPlanVidal:
@@ -560,7 +563,7 @@ def test_every_step_is_monotone_sound(dim, rng):
     p, q = random_incomparable_pairs(dim, 1, rng)[0]
     for plan in (plan_vidal(p, q), plan_greedy(p, q), plan_thrifty(p, q)):
         validate_plan(plan)
-        assert min(step_monotone_slacks(plan.steps)) >= -1e-9
+        assert min(map(_step_slack_reference, plan.steps)) >= -1e-9
 
 
 def _step_slack_reference(step) -> float:
@@ -574,19 +577,22 @@ def _step_slack_reference(step) -> float:
     return float((suffix(step.from_state) - e_avg).min())
 
 
-def test_step_slacks_of_mixed_steps_equal_one_step_at_a_time():
-    rng = np.random.default_rng(61)
-    steps = []
-    for d in (3, 5, 8, 64):
-        for p, q in random_incomparable_pairs(d, 4, rng):
-            for plan in (plan_vidal(p, q), plan_greedy(p, q), plan_thrifty(p, q)):
-                steps += plan.steps
-    # a state shorter than the step's other states, and a measurement without a failure branch
-    short = dataclasses.replace(steps[0], to_state=ProbVec(steps[0].to_state.as_array()[:-1]))
-    measured = next(s for s in steps if s.failure_state is not None)
-    steps += [short, dataclasses.replace(measured, failure_state=None)]
-    rng.shuffle(steps)
-    assert step_monotone_slacks(steps) == [_step_slack_reference(s) for s in steps]
+@pytest.mark.parametrize("d", [3, 5, 8, 64])
+def test_the_monotone_slack_of_a_row_step_is_its_plan_steps(d):
+    """``monotone_slack_rows`` on each step of one-row stacks, a move or a measurement,
+    is the reference slack of the matching step of the per-pair plan."""
+    for p, q in random_incomparable_pairs(d, 4, np.random.default_rng(61 + d)):
+        P, Q = p.as_array()[None], q.as_array()[None]
+        M, J = meet(p, q).as_array()[None], join(p, q).as_array()[None]
+        vidal = vidal_steps(P, Q, vidal_rows(P, Q))
+        core = vidal_steps(P, M, vidal_rows(P, M), target_name="common_resource")
+        for plan, steps in ((plan_vidal(meet(p, q), p), vidal_steps(M, P)),
+                            (plan_vidal(p, q), vidal),
+                            (plan_greedy(p, q), greedy_steps(vidal, J)),
+                            (plan_thrifty(p, q), descent_steps(core, [Q], ["target"]))):
+            assert len(steps) == len(plan.steps)
+            assert ([monotone_slack_rows(step).tolist() for step in steps]
+                    == [[_step_slack_reference(step)] for step in plan.steps])
 
 
 def _row_pairs(d: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -607,45 +613,76 @@ def _bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+def _assert_row_steps(plan: ConversionPlan | MultiStatePlan, steps, k: int) -> None:
+    """Each step of ``plan`` is row k of the matching step of the builders, ``steps``:
+    its names, the bits of its states and, for a measurement, its Kraus diagonals,
+    probability and both branches."""
+    assert len(plan.steps) == len(steps)
+    for step, (from_name, source, to_name, target, rows) in zip(plan.steps, steps):
+        assert (step.from_name, step.to_name) == (from_name, to_name)
+        assert _bits(step.from_state.as_array()) == _bits(source[k])
+        assert _bits(step.to_state.as_array()) == _bits(target[k])
+        if rows is None:
+            assert step.kind is StepKind.DETERMINISTIC
+            continue
+        assert step.kind is StepKind.PROBABILISTIC and step.failure_name == "residual"
+        assert _bits(step.kraus.m_diag) == _bits(rows.m_diag[k])
+        assert _bits(step.kraus.n_diag) == _bits(rows.n_diag[k])
+        assert step.success_prob == rows.success_prob[k]
+        assert _bits(step.failure_state.as_array()) == _bits(rows.failure[k])
+        success = apply_two_outcome(step.from_state, step.kraus).success_state
+        assert (success is not None) == rows.has_success[k]
+        assert success is None or _bits(success.as_array()) == _bits(rows.success[k])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 64, 512])
 def test_the_row_analysis_is_the_per_pair_planners_bit_for_bit(d):
-    """One chunk of 1,000 rows through ``ladder_rows`` and ``vidal_rows`` against the
-    planners one pair at a time: every ladder, and for each plan that measures its
-    intermediate state, Kraus diagonals, probability and both branches."""
-    P, Q = _row_pairs(d, np.random.default_rng(100 + d))
+    """One chunk of 1,000 rows through ``ladder_rows``, ``vidal_rows`` and the step
+    builders against the planners one pair at a time: every ladder, and every step of
+    each Vidal, greedy, thrifty and two-target plan."""
+    rng = np.random.default_rng(100 + d)
+    P, Q = _row_pairs(d, rng)
     vecs = [(ProbVec(p), ProbVec(q)) for p, q in zip(P, Q)]
-    ladders = [ratio_ladder(p, q) for p, q in vecs]
-    assert list(zip(*ladder_rows(P, Q))) == [(list(l.ratios), list(l.indices)) for l in ladders]
+    ladders = list(zip(*ladder_rows(P, Q)))
+    assert ladders == [(list(l.ratios), list(l.indices)) for l in (ratio_ladder(*v) for v in vecs)]
     p_below_q, q_below_p = below_rows(P, Q)
-    measured, conversions = np.flatnonzero(~p_below_q), np.flatnonzero(~(p_below_q | q_below_p))
-    assert len(conversions) < len(measured) < len(P) and (d == 2 or len(conversions))
+    moves, measured = np.flatnonzero(p_below_q), np.flatnonzero(~p_below_q)
+    c = np.flatnonzero(~(p_below_q | q_below_p))
+    assert len(c) < len(measured) < len(P) and (d == 2 or len(c))
     pairs = np.stack((P, Q), axis=1)
     M, J = meet_rows(pairs), join_rows(pairs)
-    for rows, at, planner, first in (
-            (vidal_rows(P[measured], Q[measured]), measured, plan_vidal, 0),
-            (vidal_rows(P[conversions], Q[conversions]), conversions, plan_greedy, 1),
-            (vidal_rows(P[conversions], M[conversions]), conversions, plan_thrifty, 0)):
+    vidal, core = vidal_rows(P[c], Q[c]), vidal_rows(P[c], M[c])
+    for at, planner, steps, plan_ladders in (
+            (moves, plan_vidal, vidal_steps(P[moves], Q[moves]), [ladders[i] for i in moves]),
+            (measured, plan_vidal,
+             vidal_steps(P[measured], Q[measured], vidal_rows(P[measured], Q[measured])),
+             [ladders[i] for i in measured]),
+            (c, plan_greedy, greedy_steps(vidal_steps(P[c], Q[c], vidal), J[c]),
+             list(zip(vidal.ratios, vidal.indices))),
+            (c, plan_thrifty, descent_steps(
+                vidal_steps(P[c], M[c], core, target_name="common_resource"), [Q[c]],
+                ["target"]), list(zip(core.ratios, core.indices)))):
         for k, i in enumerate(at):
             plan = planner(*vecs[i])
-            move, measurement = plan.steps[first], plan.steps[first + 1]
-            assert measurement.kind is StepKind.PROBABILISTIC
-            assert (plan.ladder.ratios, plan.ladder.indices) == (tuple(rows.ratios[k]),
-                                                                 tuple(rows.indices[k]))
-            assert _bits(move.to_state.as_array()) == _bits(rows.intermediate[k])
-            assert _bits(measurement.from_state.as_array()) == _bits(rows.intermediate[k])
-            assert _bits(measurement.to_state.as_array()) == _bits(rows.targets[k])
-            assert _bits(measurement.kraus.m_diag) == _bits(rows.m_diag[k])
-            assert _bits(measurement.kraus.n_diag) == _bits(rows.n_diag[k])
-            assert measurement.success_prob == rows.success_prob[k]
-            assert _bits(measurement.failure_state.as_array()) == _bits(rows.failure[k])
-            success = apply_two_outcome(measurement.from_state, measurement.kraus).success_state
-            assert (success is not None) == rows.has_success[k]
-            assert success is None or _bits(success.as_array()) == _bits(rows.success[k])
-        if planner is plan_greedy:
-            assert all(_bits(planner(*vecs[i]).steps[0].to_state.as_array()) == _bits(J[i])
-                       for i in at)
-        if planner is plan_thrifty:
-            assert _bits(rows.targets) == _bits(M[at])
+            assert (list(plan.ladder.ratios), list(plan.ladder.indices)) == plan_ladders[k]
+            _assert_row_steps(plan, steps, k)
+
+    # two targets: the descent to the meet of the source and both, then a move to each
+    R = random_prob_rows(d, len(P), rng)
+    ranks = np.array([rank_rows(X) for X in (P, Q, R)])
+    fit = np.flatnonzero(ranks[0] >= ranks[1:].max(axis=0))
+    P, Q, R = P[fit], Q[fit], R[fit]
+    MM = meet_rows(np.stack((P, Q, R), axis=1))
+    below = below_rows(P, MM)[0]
+    assert 0 < below.sum() < len(below)  # cores of one move and cores that measure
+    for at, measures in ((np.flatnonzero(below), False), (np.flatnonzero(~below), True)):
+        analysis = vidal_rows(P[at], MM[at]) if measures else None
+        steps = descent_steps(vidal_steps(P[at], MM[at], analysis, target_name="common_resource"),
+                              [Q[at], R[at]], ["target_0", "target_1"])
+        for k, i in enumerate(at):
+            plan = plan_multi_target(ProbVec(P[i]), [ProbVec(Q[i]), ProbVec(R[i])])
+            assert len(plan.tails) == 2
+            _assert_row_steps(plan, steps, k)
 
 
 # --- serialization ----------------------------------------------------------
@@ -824,8 +861,8 @@ def test_planners_share_one_analysis_per_pair(monkeypatch):
 
 def _reference_apply_two_outcome(state, kraus):
     lam = state.as_array()
-    if lam.size != kraus.dim:
-        raise ValueError(f"state dimension {lam.size} != Kraus dimension {kraus.dim}")
+    if lam.size != kraus.m_diag.size:
+        raise ValueError(f"state dimension {lam.size} != Kraus dimension {kraus.m_diag.size}")
     m_sq = np.asarray(kraus.m_diag) ** 2
     p = float(m_sq @ lam)
 

@@ -314,9 +314,6 @@ def test_stack_rows_zero_pads_each_vector_into_a_fresh_writable_row():
     assert rows.dtype == np.float64 and rows.shape == (3, 4)
     assert rows.tolist() == [[0.5, 0.3, 0.2, 0.0], [1.0, 0.0, 0.0, 0.0], [0.4, 0.4, 0.1, 0.1]]
     assert rows.flags.writeable and rows.flags.c_contiguous
-    wide = stack_rows(vs[:2], 6)
-    assert wide.shape == (2, 6)
-    assert wide.tolist() == [[0.5, 0.3, 0.2, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
     rows[0, 0] = 9.0  # the rows are copies: the vectors keep their entries
     assert vs[0].entries == (0.5, 0.3, 0.2)
     assert not np.shares_memory(rows, vs[0].as_array())
