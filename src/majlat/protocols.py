@@ -408,9 +408,9 @@ def plan_multi_target(source: ProbVec, targets) -> MultiStatePlan:
             raise _rank_deficit(need, has, target=f"target #{i}")
     ladder, steps = _descent(source, meet_many([source, *targets]), targets,
                              [f"target_{i}" for i in range(len(targets))])
-    k = len(targets)
-    return MultiStatePlan("multi-target", (), _plan("vidal", ladder, steps[:-k]),
-                          _plan_steps(steps[-k:]))
+    steps, k = _plan_steps(steps), len(targets)
+    return MultiStatePlan("multi-target", (), ConversionPlan("vidal", steps[:-k], ladder),
+                          steps[-k:])
 
 
 def plan_multi_source(sources, target: ProbVec) -> MultiStatePlan:

@@ -3,7 +3,7 @@
 Vectors are drawn uniformly from the probability simplex (flat Dirichlet)
 and sorted descending.  Incomparable pairs come from rejection sampling,
 which gives up where epsilon leaves (next to) none, as at dimension 2.
-Transfers and tied pairs are drawn as rows.
+Tied pairs are drawn as rows.
 """
 
 from __future__ import annotations
@@ -43,47 +43,6 @@ def random_incomparable_pairs(dim: int, count: int, rng) -> list[tuple[ProbVec, 
     if misses == 64:  # every pair is comparable at dimension <= 2; a large epsilon leaves few
         raise ValueError(f"no incomparable pair of dimension {dim} within epsilon in 64 batches")
     return pairs
-
-
-def transfer_draws(dim: int, rng, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (index, uniform) draws of ``steps`` transfers on a ``dim``-vector, as two
-    ``(steps,)`` arrays, in the order the transfers take them; none below dimension 2."""
-    rng = np.random.default_rng(rng)
-    draws = [(int(rng.integers(dim - 1)), rng.random()) for _ in range(steps if dim >= 2 else 0)]
-    return (np.array([i for i, _ in draws], dtype=np.intp),
-            np.array([u for _, u in draws], dtype=np.float64))
-
-
-def robin_hood_rows(rows: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Apply drawn transfers to each of the ``(N, d)`` rows, with ``(N, steps)`` draws.
-
-    Each step moves mass from entry i to entry i+1, at most half of their gap,
-    so a sorted row stays sorted and is majorized by the input.
-    """
-    out = rows.copy()
-    r = np.arange(len(out))
-    for i, u in zip(index.T, uniforms.T):
-        a, b = out[r, i], out[r, i + 1]
-        delta = u * (a - b) / 2.0
-        out[r, i] = a - delta
-        out[r, i + 1] = b + delta
-    return out
-
-
-def sharpening_rows(rows: np.ndarray, index: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Apply drawn transfers to each of the ``(N, d)`` rows, with ``(N, steps)`` draws.
-
-    Each step moves mass from entry i+1 to entry i and sorts the row again.
-    """
-    out = rows.copy()
-    r = np.arange(len(out))
-    for i, u in zip(index.T, uniforms.T):
-        a, b = out[r, i], out[r, i + 1]
-        delta = u * b
-        out[r, i] = a + delta
-        out[r, i + 1] = b - delta
-        out = np.sort(out, axis=1)[:, ::-1]
-    return out
 
 
 def random_tied_rows(dim: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

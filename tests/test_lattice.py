@@ -20,14 +20,7 @@ from majlat.lattice import (
     join_rows,
     meet_many,
 )
-from majlat.sampling import (
-    random_prob_rows,
-    random_prob_vecs,
-    random_tied_rows,
-    robin_hood_rows,
-    sharpening_rows,
-    transfer_draws,
-)
+from majlat.sampling import random_prob_rows, random_prob_vecs, random_tied_rows
 from majlat.schmidt import (MajOrder, ProbVec, canonicalize, compare, majorizes_margin, stack_rows,
                             uniform)
 
@@ -285,10 +278,6 @@ def test_meet_is_greater_than_common_lower_bounds(pair, rng):
     p, q = pair
     m = meet(p, q)
     assert compare(m, p) in BOUNDED and compare(m, q) in BOUNDED
-    index, uniforms = transfer_draws(m.dim, rng, 3)
-    witness = ProbVec(robin_hood_rows(m.as_array()[None], index[None], uniforms[None])[0])
-    assert compare(witness, p) in BOUNDED and compare(witness, q) in BOUNDED
-    assert compare(witness, m) in BOUNDED
     probe = random_prob_vecs(p.dim, 1, rng)[0]
     if compare(probe, p) in BOUNDED and compare(probe, q) in BOUNDED:
         assert compare(probe, m) in BOUNDED
@@ -299,10 +288,6 @@ def test_join_is_less_than_common_upper_bounds(pair, rng):
     p, q = pair
     j = join(p, q)
     assert compare(p, j) in BOUNDED and compare(q, j) in BOUNDED
-    index, uniforms = transfer_draws(j.dim, rng, 3)
-    witness = ProbVec(sharpening_rows(j.as_array()[None], index[None], uniforms[None])[0])
-    assert compare(p, witness) in BOUNDED and compare(q, witness) in BOUNDED
-    assert compare(j, witness) in BOUNDED
     probe = random_prob_vecs(p.dim, 1, rng)[0]
     if compare(p, probe) in BOUNDED and compare(q, probe) in BOUNDED:
         assert compare(j, probe) in BOUNDED
@@ -321,10 +306,14 @@ def test_cumsum_characterization(pair):
     cp, cq = np.cumsum(p.as_array()), np.cumsum(q.as_array())
     cm = np.cumsum(meet(p, q).as_array())
     assert cm == pytest.approx(np.minimum(cp, cq), abs=1e-12)
-    cj = np.cumsum(join(p, q).as_array())
-    upper = np.maximum(cp, cq)
+    j = join(p, q).as_array()
+    cj, upper = np.cumsum(j), np.maximum(cp, cq)
     assert np.all(cj >= upper - 1e-12)
-    assert np.min(np.abs(cj - upper)) <= 1e-12
+    # the least concave majorant: concave (non-increasing entries) and touching the max
+    # at each breakpoint and at the last index
+    assert np.all(j[:-1] >= j[1:])
+    breaks = np.append(j[:-1] > j[1:], True)
+    assert cj[breaks] == pytest.approx(upper[breaks], abs=1e-12)
 
 
 @given(st.lists(prob_vecs(min_dim=3, max_dim=5), min_size=2, max_size=4), rngs())

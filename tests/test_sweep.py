@@ -31,6 +31,7 @@ import pytest
 from majlat import config, protocols, sampling, sweep
 from majlat.cli import main
 from majlat.errors import DegenerateBranch, RankDeficit
+from majlat.schmidt import below_rows
 
 GOLDEN = Path(__file__).with_name("sweep_golden.json")
 SWEEPS = [(d, s) for d in (2, 3, 5, 8) for s in (1, 2)]
@@ -158,6 +159,74 @@ def test_property_reports_failures_when_its_function_is_broken(name, monkeypatch
     assert outcome.failed >= 1, dataclasses.asdict(outcome)
 
 
+def _on_incomparable_pairs(kernel, change):
+    """``kernel``, with the result of each group of two incomparable rows passed
+    through ``change``; groups of one or three members keep theirs."""
+    def broken(stack):
+        out = kernel(stack)
+        if stack.shape[-2] == 2:
+            pairs = stack.reshape(-1, 2, stack.shape[-1])
+            p_below_q, q_below_p = below_rows(pairs[:, 0], pairs[:, 1])
+            hit = ~(p_below_q | q_below_p)
+            rows = out.reshape(-1, out.shape[-1])
+            rows[hit] = change(rows[hit])
+        return out
+    return broken
+
+
+def _sharpened(rows):
+    """Each row with min(1e-3, half its last non-zero entry) moved from that entry to
+    its first: still sorted and above the true join, but not the least such vector."""
+    rows, r = rows.copy(), np.arange(len(rows))
+    last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+    delta = np.minimum(1e-3, rows[r, last] / 2)
+    rows[r, 0] += delta
+    rows[r, last] -= delta
+    return rows
+
+
+def _robin_hood(rows):
+    """Each row with a Robin Hood transfer of half its largest gap between neighbours:
+    still sorted and below the true meet, but not the greatest such vector."""
+    rows, r = rows.copy(), np.arange(len(rows))
+    k = np.argmax(rows[:, :-1] - rows[:, 1:], axis=1)
+    delta = (rows[r, k] - rows[r, k + 1]) / 4
+    rows[r, k] -= delta
+    rows[r, k + 1] += delta
+    return rows
+
+
+# name -> (sweep kernel, change of its result on each incomparable pair)
+LATTICE_FAULTS = {
+    "sharpened join": ("join_rows", _sharpened),
+    "robin hood meet": ("meet_rows", _robin_hood),
+}
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8, 64])
+@pytest.mark.parametrize("fault", LATTICE_FAULTS)
+def test_axioms_flag_every_incomparable_pair_under_a_planted_lattice_fault(
+        fault, dim, monkeypatch):
+    """The cumulative sums pin the meet and the join exactly, so a fault on the
+    incomparable pairs fails each of them and no comparable one."""
+    kernel, change = LATTICE_FAULTS[fault]
+    monkeypatch.setattr(sweep, kernel, _on_incomparable_pairs(getattr(sweep, kernel), change))
+    verdicts = []  # (passed, comparable) per instance
+    check = sweep._check_axioms
+
+    def recorded(P, Q, M, J, draws):
+        results = check(P, Q, M, J, draws)
+        p_below_q, q_below_p = below_rows(P, Q)
+        verdicts.extend(zip([ok for ok, _, _ in results], (p_below_q | q_below_p).tolist()))
+        return results
+
+    monkeypatch.setattr(sweep, "_check_axioms", recorded)
+    report = sweep.run_sweep(dim, 2000, seed=5, properties=["axioms"])
+    passed, comparable = zip(*verdicts)
+    assert passed == comparable
+    assert report.total_failures == comparable.count(False) > 0
+
+
 def _raising(kernel, label: str, threshold: float):
     """``kernel``, raising instead when a row's first entry exceeds ``threshold``."""
     def broken(rows, *rest):
@@ -226,9 +295,9 @@ def test_a_degenerate_branch_in_a_chunk_is_the_error_a_loop_over_instances_raise
 
 # properties -> the next three draws of a Generator(PCG64(2026)) after it ran
 # run_sweep(5, 12, seed=generator, properties=...), as recorded before the checkers
-# shared one analysis per instance
+# shared one analysis per instance; None's since axioms stopped drawing transfers
 NEXT_DRAWS = {
-    None: [2834030341, 1609683518, 3063844621],
+    None: [758541831, 3896097330, 4019156977],
     ("hadamard-order",): [38147930, 4063824923, 3702985498],
     ("residual-order", "multi-state"): [1470165248, 2008756566, 1460931942],
 }
