@@ -26,9 +26,8 @@ from .protocols import (ConversionPlan, KrausDiagonals, MultiStatePlan, StepKind
 from .schmidt import ProbVec, _ArrayValue
 
 RNG_ALGORITHM = "numpy.random.PCG64"
-_BLOCK = 8192  # uniforms per draw and floats per summed chunk
+_BLOCK = 8192  # uniforms per draw
 _UNIT_BITS = 64  # amplitude peaks within 2**-64 .. 2**64 are squared as they are
-_MANTISSA = np.int64((1 << 52) - 1)  # mantissa bits of a float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,67 +166,32 @@ def _walk_plan(plan: ConversionPlan | MultiStatePlan):
     return records
 
 
-def _failed_steps(p_success: list[float], shots: int, rng):
-    """Yield, block by block in shot order, the step at which each failing shot fails.
+def _failure_counts(p_success: list[float], shots: int, rng) -> list[int]:
+    """How many of ``shots`` shots fail at each measurement.
 
-    A shot draws one uniform per probabilistic step it reaches and fails at
-    the first draw >= that step's success probability.  Each block holds at
-    most _BLOCK draws and no more than the remaining shots still need, so the
-    generator ends where the per-shot draws would.
+    A shot draws one uniform per measurement it reaches and fails at the first
+    draw >= that measurement's success probability.  Each block holds at most
+    _BLOCK draws and no more than the remaining shots still need, so the draws
+    end where the per-shot ones would.  One measurement is counted a block at a
+    time; several are stepped through draw by draw.
     """
-    started, step = 0, 0  # shots begun; next step of the shot in progress
+    counts = [0] * len(p_success)
+    if len(p_success) == 1:
+        for start in range(0, shots, _BLOCK):
+            counts[0] += int(np.count_nonzero(rng.random(min(_BLOCK, shots - start))
+                                              >= p_success[0]))
+        return counts
+    started, step = 0, 0  # shots begun; next measurement of the shot in progress
     while started < shots or step:
-        failed = []
         for u in rng.random(min(_BLOCK, shots - started + (step > 0))).tolist():
             if step == 0:
                 started += 1
             if u >= p_success[step]:
-                failed.append(step)
+                counts[step] += 1
                 step = 0
             else:
                 step = (step + 1) % len(p_success)
-        yield np.array(failed, dtype=np.intp)
-
-
-def _sum_of_copies(f: np.ndarray, n: int) -> np.ndarray:
-    """The float sum ``f + f + ... + f`` of ``n`` copies, added left to right.
-
-    Bit for bit what ``n - 1`` additions in a row give, entry by entry, in
-    O(log n) steps over the whole array.  While a running sum ``s`` and
-    ``s + x`` stay in one binade [2**e, 2**(e+1)), ``fl(s + x)`` is ``s`` plus
-    ``x`` rounded to the binade's spacing, ties to even.  Once an addition
-    inside the binade has made ``s`` even in that spacing, every further one
-    adds the same amount: the bits of ``s``, read as an integer, advance by a
-    constant step up to the binade's last float.  Each round jumps there from
-    a sum whose last addition stayed inside its binade, then adds two copies:
-    the first leaves the binade, the second stays inside the next one, as the
-    sum holds at least four copies.  Zero entries stay as they are; the step
-    is never zero while n < 2**52.
-    """
-    total = f.copy()
-    rounds = n.bit_length()  # at least one per binade from 4x to n*x
-    if n < 2 * rounds + 5:  # too few copies to reserve two per round
-        for _ in range(n - 1):
-            total += f
-        return total
-    nonzero = np.flatnonzero(f)
-    x = f[nonzero]
-    s4 = x + x + x + x
-    s5 = s4 + x
-    # no two additions in a row leave a binade: start where the last one stayed inside
-    left_binade = (s4.view(np.int64) ^ s5.view(np.int64)) > _MANTISSA  # exponents differ
-    s = np.where(left_binade, s4, s5)
-    spare = left_binade + (n - 5 - 2 * rounds)  # copies the jumps still owe
-    bits = s.view(np.int64)  # s itself, read as integers
-    for _ in range(rounds):
-        steps = (s + x).view(np.int64) - bits
-        jump = np.minimum((_MANTISSA - (bits & _MANTISSA)) // steps, spare)
-        spare -= jump
-        bits += jump * steps
-        s += x
-        s += x
-    total[nonzero] = s
-    return total
+    return counts
 
 
 def run_plan(plan: ConversionPlan | MultiStatePlan, shots: int, seed=None) -> OutcomeStats:
@@ -236,55 +200,37 @@ def run_plan(plan: ConversionPlan | MultiStatePlan, shots: int, seed=None) -> Ou
     Stream contract: shots run in order, and each shot draws one uniform from
     ``np.random.default_rng(seed)`` for each probabilistic step it reaches,
     failing at the first draw >= that step's success probability.  A failure
-    whose branch has probability <= epsilon counts as a success.  The failure
-    spectra are summed one by one in shot order, so a seed gives the same
-    report whatever the block sizes; memory does not grow with ``shots``.
+    whose branch has probability <= epsilon counts as a success.  Draws come in
+    blocks, so a seed gives the same report whatever the block sizes, and
+    memory does not grow with ``shots``.
 
-    A plan with one measurement, as every emitted plan is, fails with one
-    spectrum: its failures are counted block by block and their sum is formed
-    by ``_sum_of_copies`` in O(d log n) steps, with the bits of the one-by-one
-    sum.  A plan with several measurements adds the spectra of its failures
-    one at a time.  ``shots`` is an integer >= 1, numpy integers included;
-    anything else raises ``ValueError``.  A multi-state plan reports what its core does.
+    With n_k of the N failures at measurement k, ``residual_mean`` is
+    sum_k (n_k / N) * f_k over the failure spectra f_k, zero-padded to the
+    longest one reached.  A plan with one measurement, as every emitted plan
+    is, reports its failure spectrum bit for bit.  ``shots`` is an integer >= 1,
+    numpy integers included; anything else raises ``ValueError``.  A
+    multi-state plan reports what its core does.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
         raise ValueError(f"shots must be an integer >= 1, not {shots!r}")
     shots = int(shots)
     validate_plan(plan)
     records = _walk_plan(plan)
-    rng = np.random.default_rng(seed)
-    failures, total, reached = 0, None, 0
-    if len(records) == 1:
-        p, f = records[0]
-        for start in range(0, shots, _BLOCK):
-            failures += int(np.count_nonzero(rng.random(min(_BLOCK, shots - start)) >= p))
-        if f is None:
-            failures = 0
-        elif failures:
-            total, reached = _sum_of_copies(f, failures), f.size
-    elif records:
-        # Hand-written plans may change dimension between steps: pad the table
-        # and report the mean at the longest failure spectrum actually reached.
-        lengths = np.array([0 if f is None else f.size for _, f in records])
-        table = np.zeros((len(records), max(int(lengths.max()), 1)))
-        for row, (_, f) in zip(table, records):
-            if f is not None:
-                row[:f.size] = f
-        rows = max(1, _BLOCK // table.shape[1])
-        for idx in _failed_steps([p for p, _ in records], shots, rng):
-            idx = idx[lengths[idx] > 0]
-            failures += idx.size
-            reached = max(reached, int(lengths[idx].max(initial=0)))
-            # accumulate adds one spectrum at a time in shot order, as the report
-            # promises; a product or np.sum would round differently.
-            for i in range(0, idx.size, rows):
-                chunk = table[idx[i:i + rows]]
-                if total is not None:
-                    chunk[0] += total
-                total = np.add.accumulate(chunk, axis=0, out=chunk)[-1]
+    counts = (_failure_counts([p for p, _ in records], shots, np.random.default_rng(seed))
+              if records else [])
+    failed = [(n, f) for n, (_, f) in zip(counts, records) if n and f is not None]
+    failures = sum(n for n, _ in failed)
     residual_mean = None
-    if failures:
-        residual_mean = tuple((total[:reached] / failures).tolist())
+    if failed:
+        # Hand-written plans may change dimension between steps: the mean is
+        # padded to the longest failure spectrum reached.  The first spectrum
+        # is written, not added to zeros, so that a lone one keeps its bits.
+        (n, f), *rest = failed
+        mean = np.zeros(max(f.size for _, f in failed))
+        mean[:f.size] = n / failures * f
+        for n, f in rest:
+            mean[:f.size] += n / failures * f
+        residual_mean = tuple(mean.tolist())
     successes = shots - failures
     return OutcomeStats(
         shots=shots,

@@ -23,8 +23,8 @@ source).  It works through the instances in chunks of at most
    kernels of ``schmidt``, ``lattice``, ``ladder`` and ``protocols``.  The
    checkers share the chunk's analysis (order, meet, join, and the Vidal
    analysis ``protocols.vidal_rows`` of the Vidal, greedy and thrifty
-   conversions), each piece built at most once and only when a checker asks
-   for it.  The steps of those plans come from the step builders of
+   conversions), each piece built at most once, only when a checker asks
+   for it and only over the pairs a selected property reads.  The steps of those plans come from the step builders of
    ``protocols``, the ones the planners use.  No plan object is built; only
    the dense oracle works instance by instance.
 
@@ -308,9 +308,10 @@ class _Pairs:
     every checker that reads them.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, names):
         self.rows = rows  # (N, 2, d)
         self.P, self.Q = rows[:, 0], rows[:, 1]
+        self.names = names  # the selected properties
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -352,9 +353,12 @@ class _Pairs:
 
     @cached_property
     def measured(self) -> tuple[np.ndarray, VidalRows]:
-        """Indices of the convertible pairs whose Vidal plans measure, those whose source
-        is not majorized by their target, and the Vidal analysis of those pairs."""
-        rows = np.flatnonzero(self.convertible & ~self.below[0])
+        """Indices of the pairs whose Vidal plans measure and that a selected property reads,
+        and the Vidal analysis of those pairs.  ``monotone-soundness`` reads every
+        convertible pair whose source is not majorized by its target; the other
+        properties read only the conversions."""
+        rows = np.flatnonzero((self.convertible if "monotone-soundness" in self.names
+                               else _conversions(self, None)) & ~self.below[0])
         return rows, vidal_rows(self.P[rows], self.Q[rows])
 
     @cached_property
@@ -456,7 +460,7 @@ def resolve_properties(names=None) -> list[str]:
 
 def _check_chunk(pairs, draws: dict) -> dict:
     """Each property's results on a chunk of ``(N, 2, d)`` pairs, a list per name of ``draws``."""
-    a = _Pairs(pairs)
+    a = _Pairs(pairs, draws.keys())
     results = {}
     for name, drawn in draws.items():
         applies, _, check = CHECKERS[name]

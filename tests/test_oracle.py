@@ -1,6 +1,7 @@
 import json
 import tracemalloc
-import warnings
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from majlat.ladder import p_max, ratio_ladder
 from majlat.oracle import (
     RNG_ALGORITHM,
     BipartiteState,
-    _sum_of_copies,
     branch_probabilities,
     embed,
     run_plan,
@@ -288,25 +288,20 @@ def per_shot_run_plan(plan, shots, seed=None):
         post = np.diag(step.kraus.m_diag) @ state.amplitudes / np.sqrt(p_m)
         state = embed(schmidt_spectrum(BipartiteState(post)))
     rng = np.random.default_rng(seed)
-    successes, failures, residual_sum = 0, 0, None
+    counts = [0] * len(records)
     for _ in range(shots):
-        failed_spec = None
-        for p_success, failure_spec in records:
+        for k, (p_success, _) in enumerate(records):
             if rng.random() >= p_success:
-                failed_spec = failure_spec
+                counts[k] += 1
                 break
-        if failed_spec is None:
-            successes += 1
-        else:
-            failures += 1
-            arr = failed_spec.as_array()
-            if residual_sum is None:
-                residual_sum = arr.copy()
-            else:
-                residual_sum += arr
+    failed = [(n, spec.as_array()) for n, (_, spec) in zip(counts, records)
+              if n and spec is not None]
+    failures = sum(n for n, _ in failed)
+    successes = shots - failures
     residual_mean = None
-    if failures:
-        residual_mean = [float(x) for x in residual_sum / failures]
+    if failed:  # sum_k (n_k / N) * f_k, from the first term as it is
+        residual_mean = [float(x) for x in reduce(np.add, [n / failures * spec
+                                                          for n, spec in failed])]
     return {"shots": shots, "successes": successes, "empirical_rate": successes / shots,
             "residual_mean": residual_mean,
             "seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
@@ -480,38 +475,6 @@ def test_run_plan_pads_failure_spectra_of_different_dimensions(worked_pair):
     assert sum(stats.residual_mean) == pytest.approx(1.0, abs=1e-12)
 
 
-def _one_by_one(x, n):
-    """``x + x + ... + x`` (n copies), added left to right by ``np.add.accumulate``."""
-    total = None
-    for start in range(0, n, 4096):
-        chunk = np.tile(x, (min(4096, n - start), 1))
-        if total is not None:
-            chunk[0] += total
-        total = np.add.accumulate(chunk, axis=0)[-1]
-    return total
-
-
-# odd mantissas of 31 to 51 bits: a sum of j copies meets round-half-even ties
-# from about j = 2**(52 - bits) on, so every binade up to 2**21 copies has some
-_TIES = np.array([np.ldexp(float(2**k + 1), -k - 2) for k in range(30, 51)])
-SUMMANDS = {
-    "ties": _TIES,
-    "zeros": np.array([0.5, 0.0, 0.3, -0.0, 0.2]),
-    "2**-60..1": np.ldexp(np.random.default_rng(60).dirichlet(np.ones(11)) * 2, -np.arange(0, 61, 6)),
-    "dirichlet": np.random.default_rng(61).dirichlet(np.ones(8)),
-}
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193, 10**6])
-@pytest.mark.parametrize("name", sorted(SUMMANDS))
-def test_sum_of_copies_is_the_one_by_one_sum(name, n):
-    x = SUMMANDS[name]
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        got = _sum_of_copies(x, n)
-    assert got.tobytes() == _one_by_one(x, n).tobytes()
-
-
 @pytest.mark.parametrize("dim", [3, 64])
 def test_run_plan_matches_the_reference_when_almost_every_shot_fails(dim):
     rng = np.random.default_rng(2000 + dim)
@@ -534,13 +497,47 @@ def test_run_plan_reports_numpy_integer_shots_as_int(worked_pair):
     assert json.loads(json.dumps(stats.to_dict())) == run_plan(plan, 5, seed=1).to_dict()
 
 
+@pytest.mark.parametrize("dim", [3, 8, 64])
+def test_residual_mean_is_the_count_weighted_mean_of_the_failure_spectra(dim):
+    """Exact referee: one measurement reports its failure spectrum bit for bit, and k
+    measurements lie within (k + 1) * 2**-53 of sum_k n_k f_k / N taken in rationals."""
+    rng = np.random.default_rng(3000 + dim)
+    p, q = random_incomparable_pairs(dim, 1, rng)[0]
+    there, back = plan_vidal(p, q), plan_vidal(q, p)
+    plans = [planner(p, q) for planner in (plan_vidal, plan_greedy, plan_thrifty)]
+    plans += [_chain(there, back), _chain(there, back, there)]
+    for plan in plans:
+        seed = int(rng.integers(2**31))
+        records = oracle._walk_plan(plan)
+        mean = run_plan(plan, 15_000, seed=seed).residual_mean
+        if len(records) == 1:
+            assert np.array(mean).tobytes() == records[0][1].tobytes()
+            continue
+        counts = oracle._failure_counts([prob for prob, _ in records], 15_000,
+                                        np.random.default_rng(seed))
+        assert all(f is not None and f.size == dim for _, f in records)
+        failures = sum(counts)
+        exact = [sum(n * Fraction(f[i]) for n, (_, f) in zip(counts, records)) / failures
+                 for i in range(dim)]
+        bound = Fraction(len(records) + 1, 2**53)
+        assert all(abs(Fraction(got) - want) <= bound for got, want in zip(mean, exact))
+
+
+def test_a_lone_failure_spectrum_is_reported_with_its_bits(worked_pair, monkeypatch):
+    spectrum = np.array([0.5, 0.5, -0.0])  # a zero of either sign is kept as it is
+    monkeypatch.setattr(oracle, "_walk_plan", lambda plan: [(0.5, spectrum)])
+    mean = run_plan(plan_thrifty(*worked_pair), 1_000, seed=1).residual_mean
+    assert np.array(mean).tobytes() == spectrum.tobytes()
+
+
 def test_run_plan_memory_does_not_grow_with_shots():
+    """One measurement is counted a block at a time, a chain of two draw by draw."""
     p, q = random_incomparable_pairs(64, 1, np.random.default_rng(64))[0]
-    plan = plan_thrifty(p, q)
-    tracemalloc.start()
-    try:
-        run_plan(plan, 10**6, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for plan in (plan_thrifty(p, q), _chain(plan_vidal(p, q), plan_vidal(q, p))):
+        tracemalloc.start()
+        try:
+            run_plan(plan, 10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

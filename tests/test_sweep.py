@@ -350,6 +350,29 @@ def test_a_sweep_of_hadamard_order_builds_no_analysis(monkeypatch):
     assert {name: sum(c.values()) for name, c in calls.items()} == dict.fromkeys(ANALYSIS, 0)
 
 
+@pytest.mark.parametrize("properties, analysed", [
+    (["oracle-match"], 519),  # the conversions
+    (["residual-order"], 1038),  # the conversions, and thrifty's core on them
+    (["oracle-match", "residual-order"], 1038),
+    (None, 1800),  # monotone-soundness reads every convertible pair that measures
+])
+def test_a_sweep_analyses_only_the_rows_a_selected_property_reads(properties, analysed,
+                                                                  monkeypatch):
+    rows = []
+    vidal_rows = sweep.vidal_rows
+
+    def counted(*args):
+        rows.append(len(args[0]))
+        return vidal_rows(*args)
+
+    monkeypatch.setattr(sweep, "vidal_rows", counted)
+    report = sweep.run_sweep(3, 2000, seed=1, properties=properties)
+    assert report.total_failures == 0
+    assert sum(rows) == analysed
+    if properties:  # the same draws: 519 conversions
+        assert {p.applicable for p in report.properties} == {519}
+
+
 CONVERSIONS = ["equal-optimal-prob", "residual-order", "multi-state", "oracle-match"]
 
 
