@@ -95,8 +95,8 @@ def _ratios(es: np.ndarray, et: np.ndarray, eps: float) -> np.ndarray:
 def p_max_rows(sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """``p_max`` of each row of sources to the same row of targets (two stacks of one shape)."""
     _check_ranks(sources, targets)
-    return np.minimum.reduce(_ratios(_suffix_sums(sources), _suffix_sums(targets), get_epsilon()),
-                             axis=-1)
+    ratios = _ratios(_suffix_sums(sources), _suffix_sums(targets), get_epsilon())
+    return np.minimum.reduce(ratios, axis=-1) + 0.0  # a zero is +0.0, also a -0.0 ratio
 
 
 def p_max(source: ProbVec, target: ProbVec) -> float:
@@ -119,20 +119,23 @@ def ladder_rows(sources: np.ndarray, targets: np.ndarray) -> tuple[list, list]:
     ratio, which is its ``p_max``, are taken for all rows at once; then each row's
     further rungs come from one ``_lower_hull`` call, each rung ratio a quotient of
     two differences of monotones in Python floats.  One row takes l_1 and its
-    first ratio as Python scalars, picked from the same ratios by the same rule.
+    first ratio as Python scalars, picked from the same ratios by the same rule.  A
+    zero first ratio is +0.0, as in ``p_max_rows``, also where a source's -0.0
+    entries give -0.0 suffix sums.
     """
     _check_ranks(sources, targets)
     es, et = _suffix_sums(sources), _suffix_sums(targets)
     ratios = _ratios(es, et, get_epsilon())
     if ratios.ndim == 1:
         top = int(ratios[:-1].argmin())
-        rows = [(et.tolist(), es.tolist(), top, min(float(ratios[top]), float(ratios[-1])))]
+        first = min(float(ratios[top]), float(ratios[-1])) + 0.0
+        rows = [(et.tolist(), es.tolist(), top, first)]
     else:
         width = es.shape[-1]
         ratios = ratios.reshape(-1, width)
         tops = ratios[:, :-1].argmin(axis=1)  # l1 - 1, the smallest-index minimizer
         # ratios[l1 - 1], capped at 1 by the last column
-        firsts = np.minimum(ratios[np.arange(len(tops)), tops], ratios[:, -1])
+        firsts = np.minimum(ratios[np.arange(len(tops)), tops], ratios[:, -1]) + 0.0
         rows = zip(et.reshape(-1, width).tolist(), es.reshape(-1, width).tolist(),
                    tops.tolist(), firsts.tolist())
     rows_ratios, rows_indices = [], []

@@ -3,7 +3,10 @@
 Independent cross-check for the analytic machinery: states are kept as full
 d x d amplitude matrices, Schmidt spectra are the eigenvalues of the reduced
 density matrix, and a diagonal Kraus operator acts by scaling the matrix's
-rows.  Nothing here reuses the cumulative-sum or ladder code paths.
+rows.  Where the rows have disjoint supports, as in every state built here,
+that matrix is diagonal and its eigenvalues are the squared row norms, with
+the eigensolver's bits; any other state goes to the eigensolver.  Nothing here
+reuses the cumulative-sum or ladder code paths.
 
 A plan of either kind is walked by its steps.  A deterministic step, a multi-state
 plan's heads and tails included, only sets the spectrum that the next measurement acts
@@ -105,16 +108,28 @@ def embed(p: ProbVec) -> BipartiteState:
 def schmidt_spectrum(state: BipartiteState) -> ProbVec:
     """Eigenvalues of the reduced density matrix A A^dagger, sorted descending.
 
-    These are the squared singular values of the amplitude matrix A, found by a
-    symmetric eigensolver on the d x d Gram matrix at about half the cost of an
-    SVD.  Rounding can leave an eigenvalue of a rank-deficient state a few ulp
-    below zero; it is clamped to zero.  The sum runs in descending order.
+    These are the squared singular values of the amplitude matrix A.  Where no
+    column of A has two nonzero entries, its rows have disjoint supports, so
+    A A^dagger is diagonal and its eigenvalues are the row sums of |a_ij|^2;
+    every state ``embed`` and a diagonal Kraus operator build is of this kind.
+    A row with one nonzero entry sums to that entry's square exactly, which is
+    also what the eigensolver returns for a diagonal matrix, so a diagonal
+    state's spectrum has the same bits on either path.  Any other state goes
+    to a symmetric eigensolver on the d x d Gram matrix, at about half the cost
+    of an SVD; rounding can leave an eigenvalue of a rank-deficient state a few
+    ulp below zero, and it is clamped to zero.  Integer amplitudes are squared
+    in floating point.  The sum runs in descending order.
     """
     a = state.amplitudes
+    if a.dtype.kind in "iu":  # integer squares overflow: 2**32 squared in int64
+        a = a.astype(float)
     if state.exponent:  # two exact power-of-two factors, neither of which overflows
         half = state.exponent // 2
         a = a * 2.0 ** -half * 2.0 ** (half - state.exponent)
-    lam = np.maximum(np.linalg.eigvalsh(a @ a.conj().T), 0.0)[::-1]
+    if np.count_nonzero(a, axis=0).max() <= 1:
+        lam = np.sort(np.vecdot(a, a).real)[::-1]  # vecdot conjugates its first factor
+    else:
+        lam = np.maximum(np.linalg.eigvalsh(a @ a.conj().T), 0.0)[::-1]
     return ProbVec(lam / lam.sum())
 
 

@@ -9,8 +9,10 @@ from majlat.lattice import join, meet
 from majlat.ladder import (
     RatioLadder,
     intermediate_state,
+    ladder_rows,
     monotones,
     p_max,
+    p_max_rows,
     r_vector,
     ratio_ladder,
 )
@@ -178,6 +180,21 @@ def test_ladder_consistency(pair):
     assert e_chi[l1 - 1] == pytest.approx(
         ladder.ratios[0] * monotones(ladder.target)[l1 - 1], abs=1e-12
     )
+
+
+@pytest.mark.parametrize("source, target", [
+    ([0.5, 0.5, 0.0, 0.0, -0.0, -0.0], [0.5 - 2e-9, 0.5 - 2e-9] + [1e-9] * 4),
+    ([0.5, 0.5, -0.0, -0.0], [0.5 - 1e-9, 0.5 - 1e-9, 1e-9, 1e-9]),
+])
+def test_a_zero_conversion_probability_is_positive_zero(source, target):
+    # built as a plan file would: -0.0 entries give -0.0 suffix sums, and the target's
+    # tail entries are each at most epsilon but sum to more, so it passes the rank check
+    p, q = ProbVec(source), ProbVec(target)
+    rows = np.stack([p.as_array()] * 2), np.stack([q.as_array()] * 2)
+    zeros = [p_max(p, q), ratio_ladder(p, q).ratios[0], *p_max_rows(*rows).tolist(),
+             *(ratios[0] for ratios in ladder_rows(*rows)[0])]
+    assert zeros == [0.0] * 6
+    assert not np.signbit(zeros).any()
 
 
 def argmin_ladder(p, q):

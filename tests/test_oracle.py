@@ -154,6 +154,89 @@ class TestSchmidtSpectrum:
             assert np.abs(got - want).max() <= 1e-12
             assert (got >= 0.0).all()
 
+    @pytest.mark.parametrize("amplitudes, want", [
+        (np.diag([2**40, 2**40]), (0.5, 0.5)),
+        (np.diag([2**33, 3 * 2**32]), (9 / 13, 4 / 13)),
+        (np.diag(np.array([2**40, 2**40], dtype=np.uint64)), (0.5, 0.5)),
+        (np.diag(np.array([100, 50], dtype=np.int8)), (0.8, 0.2)),
+        (np.outer([2**32, 3 * 2**31, 0], [4, 2, 0]), (1.0, 0.0, 0.0)),
+    ], ids=["diag-2**40", "diag-2**33", "uint64", "int8", "product"])
+    def test_integer_amplitudes_are_squared_in_floating_point(self, amplitudes, want):
+        # the integer squares or Gram entries overflow their dtype
+        assert amplitudes.dtype.kind in "iu"
+        got = schmidt_spectrum(BipartiteState(amplitudes)).entries
+        assert got == pytest.approx(want, abs=1e-15)
+
+
+def _eigensolver_spectrum(a):
+    """The spectrum by the Gram matrix and the symmetric eigensolver, right for any state."""
+    lam = np.maximum(np.linalg.eigvalsh(a @ a.conj().T), 0.0)[::-1]
+    return lam / lam.sum()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 512])
+def test_a_diagonal_spectrum_has_the_eigensolvers_bits(dim):
+    rng = np.random.default_rng(100 + dim)
+    for i in range(4 if dim == 512 else 20):
+        p = rng.random(dim)
+        p[dim - i % (dim // 2 + 1):] = 0.0  # up to half the entries trail as zeros
+        state = embed(canonicalize(p / p.sum()))
+        assert (schmidt_spectrum(state).as_array().tobytes()
+                == _eigensolver_spectrum(state.amplitudes).tobytes())
+        kraus = np.sqrt(rng.random(dim))
+        prob = float(np.linalg.norm(kraus[:, None] * state.amplitudes) ** 2)
+        branch = kraus[:, None] * state.amplitudes / np.sqrt(prob)
+        assert (oracle._branch_spectrum(state, kraus, prob).as_array().tobytes()
+                == _eigensolver_spectrum(branch).tobytes())
+
+
+def _disjoint_rows(rng, dim, field):
+    """A dim x dim matrix whose rows own disjoint random sets of columns, some none."""
+    owner = rng.integers(0, dim + 1, size=dim)  # dim: the column is zero
+    a = np.zeros((dim, dim), dtype=field)
+    nonzero = owner < dim
+    a[owner[nonzero], np.flatnonzero(nonzero)] = rng.standard_normal(nonzero.sum())
+    if field is complex:
+        a *= np.exp(2j * np.pi * rng.random((dim, dim)))
+    if not a.any():
+        a[rng.integers(dim), rng.integers(dim)] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 256])
+@pytest.mark.parametrize("field", [float, complex])
+def test_a_spectrum_of_rows_with_disjoint_supports_is_the_eigensolvers(dim, field):
+    rng = np.random.default_rng(dim)
+    x = np.sqrt(rng.dirichlet(np.ones(dim)))
+    phases = np.exp(2j * np.pi * rng.random(dim)) if field is complex else np.ones(dim)
+    states = [np.diag(x * phases)[rng.permutation(dim)],  # permuted diagonals
+              np.diag(x * phases)[:, rng.permutation(dim)]]
+    states += [_disjoint_rows(rng, dim, field) for _ in range(10)]
+    for a in states:
+        got = schmidt_spectrum(BipartiteState(a)).as_array()
+        assert np.abs(got - _eigensolver_spectrum(a)).max() <= 1e-15
+        assert not np.signbit(got).any()  # no negative entry, not even -0.0
+
+
+def test_the_eigensolver_runs_only_where_row_supports_overlap(worked_pair, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    p, q = worked_pair
+    state = embed(p)
+    kraus = kraus_diagonals(ratio_ladder(p, q))
+    p_m, p_n = branch_probabilities(state, kraus)
+    schmidt_spectrum(state)
+    oracle._branch_spectrum(state, kraus.m_diag, p_m)
+    oracle._branch_spectrum(state, kraus.n_diag, p_n)
+    run_plan(plan_thrifty(p, q), 1000, seed=1)
+    run_sweep(dim=8, count=16, seed=7, properties=["oracle-match"])
+    assert calls == []
+    rotation = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    schmidt_spectrum(BipartiteState(rotation @ state.amplitudes))
+    schmidt_spectrum(BipartiteState(np.outer([0.6, 0.8, 0.0], [1.0, 1.0, 0.0])))
+    assert calls == [(3, 3), (3, 3)]
+
 
 class TestBranchProbabilities:
     def test_worked_pair_probabilities(self, worked_pair):
